@@ -21,6 +21,7 @@ from math import ceil, floor
 import numpy as np
 
 from . import qseries, tables
+from .arith import divisors
 from .quadforms import class_number
 
 
@@ -144,7 +145,11 @@ def polar_count_formula(m: int, h_table=None, spf=None) -> int:
     if m < 1:
         raise ValueError("index must be positive")
     six_h = 0  # 6 * sum of h(d)
-    for d in _divisors(4 * m, spf):
+    if spf is not None:
+        divs = tables.divisors_from_factorization(tables.factorize(4 * m, spf))
+    else:
+        divs = divisors(4 * m)
+    for d in divs:
         if d == 3:
             six_h += 2
         elif d == 4:
@@ -160,20 +165,6 @@ def polar_count_formula(m: int, h_table=None, spf=None) -> int:
             f"24P = {total24} with 6*sum h = {six_h}, b = {b}, 12((m/4)) = {int(saw24)}"
         )
     return total24 // 24
-
-
-def _divisors(n: int, spf=None):
-    if spf is not None:
-        return tables.divisors_from_factorization(tables.factorize(n, spf))
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
 
 
 def polar_count_bruteforce(m: int) -> int:

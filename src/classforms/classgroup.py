@@ -1,28 +1,24 @@
 """Composition of binary quadratic forms and class-group structure.
 
-Composition follows Dirichlet: the composite of [a,b,c] and [a',b',c'] has
-leading coefficient a*a' and middle coefficient the unique N mod 2aa' with
-N = b (mod 2a), N = b' (mod 2a'), N^2 = D (mod 4aa').  When the gcd
-precondition gcd(a, a', (b+b')/2) = 1 fails, the second form is first moved
-to an equivalent one whose leading coefficient is coprime to 2aD, which makes
-the operation total on classes.
+Composition is gcd-based (Cohen, A Course in Computational Algebraic Number
+Theory, Alg. 5.4.7): with s = (b+b')/2 and d = gcd(a, a', s), the composite
+of [a,b,c] and [a',b',c'] has leading coefficient aa'/d^2 and a middle
+coefficient read off the Bezout coefficients of that gcd.  It is total on
+primitive forms of equal discriminant, so no representative search is
+needed.  Element orders come from the factorization of h(D): f^h is the
+identity, and each prime p | h is stripped from the exponent while the
+power stays principal.
 
 Also here: elementary-divisor structure, the 2-torsion count, the form-to-
 ideal map, and the class-number statistics and growth-bound evaluations.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt, log, pi
+from math import isqrt, log, pi
 
 from . import tables
-from .quadforms import Form, apply_sl2, as_form, class_number, enumerate_reduced, reduce
-
-_TABLE_CUTOFF = 512
-
-
-def _check_disc(D: int):
-    if D >= 0 or D % 4 not in (0, 1):
-        raise ValueError("discriminant must be negative and 0 or 1 mod 4")
+from .arith import is_prime, prime_divisors, xgcd
+from .quadforms import Form, _check_disc, as_form, class_number, enumerate_reduced, reduce
 
 
 def identity(D: int) -> Form:
@@ -39,60 +35,15 @@ def inverse(f) -> Form:
     return reduce(Form(f.a, -f.b, f.c))
 
 
-def _coprime_representative(g: Form, modulus: int) -> Form:
-    """An equivalent form whose leading coefficient is coprime to modulus.
-
-    Searches small coprime (x, y); g(x, y) is then the leading coefficient of
-    the transformed form under a unimodular completion of (x, y).
-    """
-    for radius in range(1, 40):
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if max(abs(x), abs(y)) != radius and radius > 1:
-                    continue
-                if gcd(x, y) != 1:
-                    continue
-                if gcd(g(x, y), modulus) == 1:
-                    # complete (x, y) to a determinant-one matrix
-                    u, v = _complete_unimodular(x, y)
-                    return apply_sl2(g, ((x, u), (y, v)))
-    raise ArithmeticError(f"no coprime representative found for {g} mod {modulus}")
-
-
-def _complete_unimodular(x: int, y: int):
-    """(u, v) with x*v - y*u = 1."""
-    g0, s, t = _xgcd(x, y)
-    assert g0 == 1
-    # x*s + y*t = 1  ->  columns (x, y), (-t, s)
-    return -t, s
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int):
-    """x = r1 (mod m1), x = r2 (mod m2); returns (x, lcm) or None."""
-    g, s, _ = _xgcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    x = (r1 + (r2 - r1) // g * s % (m2 // g) * m1) % lcm
-    return x, lcm
-
-
 def compose(f, g) -> Form:
-    """Reduced Dirichlet composite of two primitive forms of equal discriminant."""
+    """Reduced composite of two primitive forms of equal discriminant.
+
+    With s = (b1+b2)/2, d = gcd(a2, a1) = y1*a2 + v*a1 and
+    d1 = gcd(s, d) = x2*s + y*d, the composite is [v1*v2, b2 + 2*v2*r, c3]
+    where v1 = a1/d1, v2 = a2/d1 and r = -(y1*y*(b2 - s) + x2*c2) mod v1.
+    c3 follows from the discriminant; a remainder there means the inputs
+    broke the preconditions and raises ArithmeticError.
+    """
     f = as_form(f)
     g = as_form(g)
     D = f.discriminant()
@@ -101,23 +52,20 @@ def compose(f, g) -> Form:
     _check_disc(D)
     if not (f.is_primitive() and g.is_primitive()):
         raise ValueError("composition requires primitive forms")
-    if gcd(gcd(f.a, g.a), (f.b + g.b) // 2) != 1:
-        g = _coprime_representative(g, 2 * f.a * D)
     a1, b1 = f.a, f.b
-    a2, b2 = g.a, g.b
-    res = _crt_pair(b1, 2 * a1, b2, 2 * a2)
-    if res is None:
-        raise ArithmeticError("congruences for the middle coefficient are unsolvable")
-    x0, lcm = res
-    modulus = 4 * a1 * a2
-    candidates = [
-        n for n in range(x0, x0 + 2 * a1 * a2, lcm) if (n * n - D) % modulus == 0
-    ]
-    if len(candidates) != 1:
-        # the gcd precondition was not actually satisfied
-        raise ArithmeticError(f"middle coefficient not unique: {candidates}")
-    n = candidates[0]
-    return reduce(Form(a1 * a2, n, (n * n - D) // modulus))
+    a2, b2, c2 = g
+    s = (b1 + b2) // 2
+    d, y1, _ = xgcd(a2, a1)
+    d1, x2, y = xgcd(s, d)
+    v1, v2 = a1 // d1, a2 // d1
+    r = -(y1 * y * (b2 - s) + x2 * c2) % v1
+    a3 = v1 * v2
+    b3 = b2 + 2 * v2 * r
+    c3, rem = divmod(b3 * b3 - D, 4 * a3)
+    if rem:
+        raise ArithmeticError(f"composite of {f} and {g} has no integral c: "
+                              f"{b3}^2 - {D} is not divisible by {4 * a3}")
+    return reduce(Form(a3, b3, c3))
 
 
 def power(f, k: int) -> Form:
@@ -135,18 +83,21 @@ def power(f, k: int) -> Form:
 
 
 def element_order(f) -> int:
-    """Least k >= 1 with the k-th power of f principal; divides h(D)."""
+    """Least k >= 1 with the k-th power of f principal; divides h(D).
+
+    Starts from k = h and divides out each prime p | h while f^(k/p) stays
+    principal.  Raises ArithmeticError if f^h itself is not principal.
+    """
     f = reduce(as_form(f))
     D = f.discriminant()
     e = identity(D)
-    acc = f
-    k = 1
     h = class_number(D)
-    while acc != e:
-        acc = compose(acc, f)
-        k += 1
-        if k > h:
-            raise ArithmeticError(f"order of {f} exceeds the class number {h}")
+    if power(f, h) != e:
+        raise ArithmeticError(f"{f} to the class number {h} is not principal")
+    k = h
+    for p in prime_divisors(h):
+        while k % p == 0 and power(f, k // p) == e:
+            k //= p
     return k
 
 
@@ -176,7 +127,7 @@ def _structure_from_orders(orders):
         return ()
     primes = set()
     for o in orders:
-        primes.update(_prime_divisors(o))
+        primes.update(prime_divisors(o))
     partitions = {}
     for p in sorted(primes):
         exps = [0]
@@ -212,46 +163,13 @@ def _structure_from_orders(orders):
 def group_structure(D: int) -> ClassGroupDescription:
     """Representatives plus elementary divisors d1 | d2 | ... with product h(D).
 
-    For h up to 512 the full composition table is built first and checked to
-    be a commutative group with the expected identity and inverses; element
-    orders are then read off the table.  Beyond that size orders are computed
-    by direct powering.
+    Every reduced representative gets its order from element_order, which
+    works down from h(D) by its prime factors; the divisors are then read off
+    the order statistics.
     """
     reps = enumerate_reduced(D)
-    h = len(reps)
-    if h <= _TABLE_CUTOFF:
-        orders = _orders_via_table(D, reps)
-    else:
-        orders = [element_order(f) for f in reps]
+    orders = [element_order(f) for f in reps]
     return ClassGroupDescription(D, tuple(reps), _structure_from_orders(orders))
-
-
-def _orders_via_table(D: int, reps):
-    e = identity(D)
-    e = reduce(e)
-    index = {f: i for i, f in enumerate(reps)}
-    table = [[None] * len(reps) for _ in reps]
-    for i, f in enumerate(reps):
-        for j in range(i, len(reps)):
-            fg = compose(f, reps[j])
-            if fg not in index:
-                raise ArithmeticError(f"composition left the reduced system: {fg}")
-            table[i][j] = table[j][i] = index[fg]
-    ei = index[e]
-    # identity law and inverse existence
-    for i in range(len(reps)):
-        if table[ei][i] != i:
-            raise ArithmeticError("identity law fails in the composition table")
-        if not any(table[i][j] == ei for j in range(len(reps))):
-            raise ArithmeticError("a class has no inverse in the composition table")
-    orders = []
-    for i in range(len(reps)):
-        k, acc = 1, i
-        while acc != ei:
-            acc = table[acc][i]
-            k += 1
-        orders.append(k)
-    return orders
 
 
 def two_torsion_order(D: int) -> int:
@@ -302,25 +220,11 @@ def ggz_lower_bound(D: int) -> float:
     _check_disc(D)
     n = -D
     value = log(n) / 7000.0
-    for p in _prime_divisors(n):
+    for p in prime_divisors(n):
         if p == n:
             continue
         value *= 1.0 - isqrt(4 * p) / (p + 1.0)
     return value
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def siegel_reference_curve(D: int, eps: float) -> float:
@@ -334,7 +238,7 @@ def cohen_lenstra_prediction(p: int) -> float:
     """prod_{n>=1} (1 - p^-n), truncated once the tail is below 1e-12."""
     if p == 2:
         raise ValueError("p = 2 is governed by genus theory, not this heuristic")
-    if p < 3 or not _is_prime(p):
+    if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     value = 1.0
     n = 1
@@ -346,20 +250,9 @@ def cohen_lenstra_prediction(p: int) -> float:
         n += 1
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def cl_statistics(p: int, N: int):
     """(count, proportion) of fundamental -N < D < 0 with p not dividing h(D)."""
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     limit = N - 1
     if limit < 3:
@@ -391,16 +284,20 @@ def ng_count(g: int, x: int) -> int:
 
     C(-D) is read as the class group of Q(sqrt(-D)), i.e. of discriminant -D
     or -4D as forced by the residue of D mod 4.  An abelian group has an
-    element of order g iff g divides its exponent.
+    element of order g iff g divides its exponent, which needs g | h; the
+    structure is computed only where the class-number table allows that.
     """
     if g < 2 or x < 1:
         raise ValueError("need g >= 2 and x >= 1")
     sf = tables.squarefree_mask(x)
+    h = tables.class_number_table(4 * x)
     count = 0
     for d in range(1, x + 1):
         if not sf[d]:
             continue
         disc = -d if d % 4 == 3 else -4 * d
+        if h[-disc] % g:
+            continue
         desc = group_structure(disc)
         exponent = desc.elementary_divisors[-1] if desc.elementary_divisors else 1
         if exponent % g == 0:

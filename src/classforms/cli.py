@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import attractor, cftx, classgroup, eccensus, qseries, rademacher, tables
@@ -228,6 +227,7 @@ def _cmd_ecc_verify(args, t0):
 
 def _cmd_ecc_torsion(args, t0):
     q, n = args.q, args.n
+    eccensus.check_torsion_modulus(q, n)
     rows = []
     tmax = int((4 * q) ** 0.5)
     for t in range(-tmax, tmax + 1):
@@ -261,17 +261,6 @@ def _cmd_cft_zk(args, t0):
     return 0
 
 
-def _polar_chunk(bounds):
-    lo, hi, mmax = bounds
-    h = tables.class_number_table(4 * mmax)
-    spf = tables.spf_table(4 * mmax)
-    out = []
-    for m in range(lo, hi):
-        P = cftx.polar_count_formula(m, h_table=h, spf=spf)
-        out.append((m, cftx.normalized_excess(m, P)))
-    return out
-
-
 def _cmd_cft_polar(args, t0):
     mmax = args.mmax
     if args.emit == "table":
@@ -284,20 +273,7 @@ def _cmd_cft_polar(args, t0):
         _emit(args, "cft polar", {"mmax": mmax, "emit": args.emit}, results,
               "classforms.cftx.extremal_n2_report", t0)
         return 0
-    if args.jobs > 1:
-        # deterministic ordered merge over contiguous chunks
-        chunk = (mmax + args.jobs - 1) // args.jobs
-        bounds = [(lo, min(lo + chunk, mmax + 1), mmax)
-                  for lo in range(1, mmax + 1, chunk)]
-        tables.class_number_table(4 * mmax)  # prebuild so forked workers share it
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = [p for part in pool.map(_polar_chunk, bounds) for p in part]
-        values = [v for _, v in pairs]
-        import numpy as np
-
-        values = np.array(values)
-    else:
-        values = cftx.figure_data(mmax)
+    values = cftx.figure_data(mmax)
     print(f"scanned {mmax} indices", file=sys.stderr)
     if args.emit == "figure-data":
         _emit_csv("m,normalized_excess", [(m + 1, values[m]) for m in range(mmax)])
@@ -367,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="negate the discriminant argument (lets you avoid a leading dash)")
     top.add_argument("--timing", action="store_true",
                      help="fill wall_time_ms (off by default to keep output byte-identical)")
-    top.add_argument("--jobs", type=int, default=1, help="parallel workers for long scans")
+    top.add_argument("--jobs", type=int, default=1,
+                     help="ignored; accepted so older invocations keep working")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classgroup", help="reduced forms, structure, bounds at D")

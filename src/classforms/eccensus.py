@@ -14,18 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from .arith import is_prime
 from .quadforms import hurwitz, kronecker_class_number
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,7 @@ class CurveClass:
 
 
 def _check_field(q: int):
-    if not _is_prime(q):
+    if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q <= 3:
         raise ValueError("short Weierstrass models need q > 3")
@@ -193,24 +183,33 @@ def full_torsion_rank_is_two(cls: CurveClass, n: int) -> bool:
     return killed == n * n
 
 
+def check_torsion_modulus(q: int, n: int):
+    """The trace-independent preconditions of torsion_class_count.
+
+    q must be a supported prime field, n odd and positive, and q = 1 (mod n).
+    Violations raise ValueError naming the failing condition.
+    """
+    _check_field(q)
+    if n % 2 != 1 or n < 1:
+        raise ValueError("n must be odd and positive")
+    if n > 1 and q % n != 1:
+        raise ValueError(f"q = {q} is not 1 mod n = {n}")
+
+
 def torsion_class_count(q: int, t: int, n: int) -> int:
     """Classes in the trace-t isogeny class with full rational n-torsion.
 
-    Preconditions from the counting theorem: n odd, t^2 <= 4q, q does not
-    divide t, q = 1 (mod n), and t = q + 1 (mod n^2).  Violations raise with
-    the failing congruence named.
+    Preconditions from the counting theorem: those of check_torsion_modulus,
+    t^2 <= 4q, q does not divide t, and t = q + 1 (mod n^2).  Violations
+    raise with the failing congruence named.
     """
-    if n % 2 != 1 or n < 1:
-        raise ValueError("n must be odd and positive")
+    check_torsion_modulus(q, n)
     if t * t > 4 * q:
         raise ValueError(f"t^2 = {t*t} exceeds 4q = {4*q}")
     if t % q == 0 and t != 0:
         raise ValueError(f"q = {q} divides t = {t}")
-    if n > 1:
-        if q % n != 1:
-            raise ValueError(f"q = {q} is not 1 mod n = {n}")
-        if (t - q - 1) % (n * n) != 0:
-            raise ValueError(f"t = {t} is not q + 1 = {q + 1} mod n^2 = {n*n}")
+    if n > 1 and (t - q - 1) % (n * n) != 0:
+        raise ValueError(f"t = {t} is not q + 1 = {q + 1} mod n^2 = {n*n}")
     return sum(
         1
         for c in enumerate_curves(q)

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from .arith import divisors
+
 
 class QSeries:
     __slots__ = ("valuation", "coeffs", "truncation_order")
@@ -279,23 +281,11 @@ def hecke_trace(k: int, n: int) -> int:
         h = hurwitz(t * t - 4 * n)
         if h:
             elliptic += pk_coefficient(k, t, n) * h
-    boundary = sum(min(d, n // d) ** (k - 1) for d in _divisors(n))
+    boundary = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
     total = -elliptic / 2 - Fraction(boundary, 2)
     if total.denominator != 1:
         raise ArithmeticError(f"trace came out non-integral: {total}")
     return int(total)
-
-
-def _divisors(n: int):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def tau_prime_display(p: int) -> Fraction:
@@ -321,5 +311,5 @@ def tau_prime_display(p: int) -> Fraction:
             - p**5
         )
         total += poly * hurwitz(t * t - 4 * p)
-    boundary = sum(min(d, p // d) ** 11 for d in _divisors(p))
+    boundary = sum(min(d, p // d) ** 11 for d in divisors(p))
     return -total / 2 - Fraction(boundary, 2)

@@ -18,6 +18,7 @@ from math import gcd, log, pi, sqrt
 
 import mpmath as mp
 
+from .arith import unimodular_completion
 from .quadforms import Form, apply_sl2, enumerate_reduced
 from . import qseries
 
@@ -320,22 +321,6 @@ class CMPoint:
             return mp.mpc(-b, mp.sqrt(-disc)) / (2 * a)
 
 
-def _unimodular_completion(x: int, y: int):
-    # returns ((x, u), (y, v)) with x v - y u = 1
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    # x*old_s + y*old_t = 1
-    return ((x, -old_t), (y, old_s))
-
-
 def _level_rep(f: Form, search_limit: int = 48):
     """An equivalent form with 6 | a and b = 1 mod 12, minimizing a.
 
@@ -354,7 +339,7 @@ def _level_rep(f: Form, search_limit: int = 48):
                     continue
                 if best is not None and a2 >= best.a:
                     continue
-                g = apply_sl2(f, _unimodular_completion(x, y))
+                g = apply_sl2(f, unimodular_completion(x, y))
                 if g.b % 12 != 1:
                     continue
                 b2 = g.b % (2 * g.a)

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: class
 counting by orbit closure under the raw generators, composition checked
-through ideal-lattice multiplication and through represented values, point
-counts by a direct (x, y) scan.
+through ideal-lattice multiplication and through represented values, element
+orders by the full composition table, point counts by a direct (x, y) scan.
 """
 
 import random
@@ -176,6 +176,47 @@ def represents(f, value: int) -> bool:
         if (-b * y + s) % (2 * a) == 0 or (-b * y - s) % (2 * a) == 0:
             return True
     return False
+
+
+# --- composition-table oracle -------------------------------------------------
+
+
+def table_orders(D: int):
+    """Element orders of the class group, read off its full composition table.
+
+    The h x h table of composites of reduced representatives is checked for
+    closure, the identity law, inverses and commutativity; each order is then
+    the length of the cycle of repeated lookups.  O(h^2) compositions, so
+    this is for small groups only.
+    """
+    from classforms.classgroup import compose, identity
+    from classforms.quadforms import enumerate_reduced
+
+    reps = enumerate_reduced(D)
+    index = {f: i for i, f in enumerate(reps)}
+    table = []
+    for f in reps:
+        row = []
+        for g in reps:
+            fg = compose(f, g)
+            assert fg in index, f"composition left the reduced system: {fg}"
+            row.append(index[fg])
+        table.append(row)
+    h = len(reps)
+    ei = index[identity(D)]
+    for i in range(h):
+        assert table[ei][i] == i, "identity law fails in the composition table"
+        assert ei in table[i], "a class has no inverse in the composition table"
+        assert all(table[i][j] == table[j][i] for j in range(i)), "table not commutative"
+    orders = []
+    for i in range(h):
+        k, acc = 1, i
+        while acc != ei:
+            acc = table[acc][i]
+            k += 1
+            assert k <= h, "powers of a class never reach the identity"
+        orders.append(k)
+    return orders
 
 
 # --- direct point-count oracle -------------------------------------------------

@@ -7,7 +7,7 @@ from classforms import quadforms as qf
 from classforms import tables
 from classforms.quadforms import Form
 
-from conftest import ideal_product_form, random_sl2, represents
+from conftest import ideal_product_form, random_sl2, represents, table_orders
 
 
 def valid_discs(bound):
@@ -106,6 +106,9 @@ def test_element_order_examples():
     assert cg.element_order((1, 0, 21)) == 1
     assert cg.element_order((2, 2, 11)) == 2
     assert cg.element_order((2, 1, 3)) == 3
+    # C(-3299) is Z/3 x Z/9, so orders 3 and 9 both occur below h = 27
+    assert cg.element_order((3, 1, 275)) == 9
+    assert cg.element_order((11, -1, 75)) == 3
 
 
 def test_lagrange_up_to_5000():
@@ -124,13 +127,23 @@ def test_group_structure_examples():
     assert cg.group_structure(-3299).elementary_divisors == (3, 9)
 
 
-def test_structure_fallback_path_matches_table_path(monkeypatch):
-    # force the order-statistics route (normally taken only for h > 512)
-    monkeypatch.setattr(cg, "_TABLE_CUTOFF", 0)
-    assert cg.group_structure(-84).elementary_divisors == (2, 2)
-    assert cg.group_structure(-23).elementary_divisors == (3,)
-    assert cg.group_structure(-3299).elementary_divisors == (3, 9)
-    assert cg.group_structure(-4).elementary_divisors == ()
+def test_structure_matches_table_oracle():
+    # every fundamental |D| <= 3000, the 3-rank-two D = -3299, and every
+    # discriminant with |D| <= 500, fundamental or not
+    discs = set(fundamental_discs(3000)) | {-3299} | set(valid_discs(500))
+    for D in sorted(discs):
+        orders = table_orders(D)
+        reps = qf.enumerate_reduced(D)
+        assert [cg.element_order(f) for f in reps] == orders, D
+        divs = cg.group_structure(D).elementary_divisors
+        h = len(reps)
+        assert math.prod(divs) == h and all(d > 1 for d in divs), D
+        assert all(d2 % d1 == 0 for d1, d2 in zip(divs, divs[1:])), D
+        # the m-torsion counts prod gcd(m, d_i) over m | h pin the group down
+        for m in range(1, h + 1):
+            if h % m == 0:
+                killed = sum(1 for o in orders if m % o == 0)
+                assert killed == math.prod(math.gcd(m, d) for d in divs), (D, m)
 
 
 def test_structure_product_and_divisibility_sample():
@@ -142,8 +155,9 @@ def test_structure_product_and_divisibility_sample():
 
 
 def test_structure_beyond_table_cutoff():
-    # smallest fundamental discriminant whose group outgrows the table route;
-    # the order-statistics path must still satisfy the independent anchors
+    # smallest fundamental discriminant with h > 512, above the groups the
+    # table oracle covers; the structure must still satisfy the independent
+    # anchors
     h_table = tables.class_number_table(2 * 10**6)
     fund = tables.fundamental_mask(2 * 10**6)
     n = next(i for i in range(3, 2 * 10**6)

@@ -112,6 +112,15 @@ def test_ecc_torsion_subcommand(capsys):
     assert rows[-1]["fractional"] is True
 
 
+@pytest.mark.parametrize("q, n", [(7, 2), (7, 0), (11, 3), (100, 3)])
+def test_ecc_torsion_invalid_modulus_exits_2(capsys, q, n):
+    # even or nonpositive n, q not 1 mod n, q not prime: rejected before any t
+    assert cli.main(["ecc", "torsion", "--q", str(q), "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cft_zk_subcommand(capsys):
     rc, env, _ = run_json(capsys, ["cft", "zk", "--k", "1", "--order", "4"])
     assert rc == 0
