@@ -13,7 +13,7 @@ invariant at the fixed points.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log, pi
+from math import ceil, log, log10, pi
 
 import mpmath as mp
 
@@ -254,12 +254,18 @@ def hilbert_class_polynomial(D: int, extra_digits: int = 10):
     fixed point and rounded; the rounding residual must stay below 1e-4 or a
     PrecisionError is raised with the achieved value.  Returns the
     coefficient list [c_0, ..., c_{h-1}, 1] (degree h(D)).
+
+    The working precision covers the largest coefficient: |j(tau_f)| is
+    about exp(pi sqrt|D| / a_f), and no coefficient exceeds 2^h times the
+    product of the max(1, |j(tau_f)|) (Enge, Math. Comp. 2009), so the budget is
+    15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + extra_digits.
     """
     if not is_fundamental(D):
         raise ValueError("class polynomials are computed for fundamental discriminants")
     forms = enumerate_reduced(D)
     h = len(forms)
-    digits = 15 + ceil(pi * (-D) ** 0.5 / log(10)) + 2 * h + extra_digits
+    log10_size = sum(pi * (-D) ** 0.5 / (f.a * log(10)) for f in forms) + h * log10(2)
+    digits = 15 + ceil(log10_size) + extra_digits
     order = max(40, 3 * digits)
     jq = qseries.j_series(order)
     jc = [int(jq.coefficient(k)) for k in range(-1, order)]

@@ -5,7 +5,8 @@ emitters) on stdout; progress goes to stderr.  Output is deterministic:
 floats are fixed at 12 significant digits, keys are sorted, and the
 wall-time field stays null unless --timing is passed.  Exit codes: 0 on
 success, 1 when a verification subcommand finds a failing comparison, 2 for
-usage errors.
+usage errors, 3 when a computation exhausts its precision or truncation
+budget (PrecisionError; stderr gives the residual reached).
 """
 
 import argparse
@@ -438,6 +439,9 @@ def main(argv=None) -> int:
         return args.func(args, t0)
     except (ValueError, OverflowError) as exc:
         return _usage_error(str(exc))
+    except rademacher.PrecisionError as exc:
+        print(f"precision exhausted: {exc}", file=sys.stderr)
+        return 3
     except (ArithmeticError, AssertionError) as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1

@@ -6,11 +6,22 @@ fabricates terms past the truncation: the order of a product or inverse is
 the smallest order the inputs support.  Everything is exact -- coefficients
 are Python ints or Fractions, never floats -- so the trace-formula
 integrality check below is a hard assertion rather than a tolerance.
+
+Products and inverses share one kernel.  A product is a Kronecker
+substitution: each operand's integer coefficients are packed into one big
+decimal number, one slot of w digits per coefficient, the two numbers are
+multiplied once by the C `decimal` module (libmpdec multiplies large numbers
+by a number-theoretic transform), and the slots are read back with balanced
+digits.  A truncated product splits both operands at half the wanted length
+and never forms the coefficients past the truncation.  An inverse is Newton
+iteration on that product, doubling the number of correct terms per step.
+Fractions are cleared to a common denominator per operand first.
 """
 
+import decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .arith import divisors
 
@@ -77,6 +88,13 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product with a scalar or a series, cut at the order both support.
+
+        One Kronecker-substituted short product (see the module docstring) on
+        the operands cleared of denominators.  A coefficient is a Fraction
+        exactly where the term-by-term sum would meet a Fraction factor, so
+        int series multiply to int series.
+        """
         if isinstance(other, (int, Fraction)):
             return QSeries(
                 self.valuation, [c * other for c in self.coeffs], self.truncation_order
@@ -88,33 +106,49 @@ class QSeries:
         )
         v = self.valuation + other.valuation
         n = order - v
-        out = [0] * n
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0 or i >= n:
-                continue
-            for j, cj in enumerate(other.coeffs[: n - i]):
-                if cj:
-                    out[i + j] += ci * cj
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        ia, da = _over_common_denominator(a)
+        ib, db = _over_common_denominator(b)
+        out = _short_product(ia, ib, n)
+        if _has_fraction(a) or _has_fraction(b):
+            den = da * db
+            out = [Fraction(c, den) if frac else c // den
+                   for c, frac in zip(out, _fraction_positions(a, b, n))]
         return QSeries(v, out, order)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; needs a nonzero leading coefficient."""
+        """Multiplicative inverse; needs a nonzero leading coefficient.
+
+        Newton iteration g <- g - q^m (g h) mod q^2m, where f g = 1 + q^m h,
+        on the integer series f(lead q) / lead; the coefficients of 1/f are
+        those of its inverse divided by powers of the leading coefficient.
+        The output is typed as the term-by-term recurrence types it: ints
+        while every term is an int over a leading coefficient of +-1,
+        Fractions from the first nonzero Fraction coefficient on.
+        """
         if not self.coeffs or self.coeffs[0] == 0:
             raise ZeroDivisionError("series inversion needs a nonzero leading coefficient")
-        lead = self.coeffs[0]
-        n = self.truncation_order - self.valuation
-        inv0 = Fraction(1, lead) if not (isinstance(lead, int) and abs(lead) == 1) else (1 if lead == 1 else -1)
-        out = [0] * n
-        out[0] = inv0
-        for k in range(1, n):
-            acc = 0
-            for j in range(1, k + 1):
-                cj = self.coeffs[j] if j < len(self.coeffs) else 0
-                if cj:
-                    acc += cj * out[k - j]
-            out[k] = -inv0 * acc
+        n = len(self.coeffs)
+        f, den = _over_common_denominator(self.coeffs)
+        lead = f[0]
+        # f(lead q) / lead: coefficients f_k lead^(k-1), leading coefficient 1
+        scaled = [1]
+        p = 1
+        for c in f[1:]:
+            scaled.append(c * p)
+            p *= lead
+        first_fraction = 0
+        if isinstance(self.coeffs[0], int) and abs(self.coeffs[0]) == 1:
+            first_fraction = next(
+                (k for k, c in enumerate(self.coeffs) if c and isinstance(c, Fraction)), n
+            )
+        out = []
+        p = lead  # self = f / den, so 1/self has coefficients den g_k / lead^(k+1)
+        for k, c in enumerate(_newton_inverse(scaled, n)):
+            out.append(Fraction(den * c, p) if k >= first_fraction else den * c // p)
+            p *= lead
         return QSeries(-self.valuation, out, n - self.valuation)
 
     def __pow__(self, k):
@@ -155,6 +189,151 @@ class QSeries:
         if not out.coeffs:
             return QSeries(0, [0] * order, order)
         return out
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel: Kronecker substitution over decimal, Newton inversion
+# ---------------------------------------------------------------------------
+
+# Unlimited precision, and rounding of any kind raises rather than losing
+# digits.  Private, so the caller's decimal context is never changed and its
+# precision and traps never apply here.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded],
+)
+_NINES = bytes.maketrans(b"0123456789", b"9876543210")
+
+
+def _digits(x: int) -> str:
+    # through decimal, which has no cap on the length of an int's digit string
+    return str(_EXACT.create_decimal(x))
+
+
+def _pack(coeffs, w: int):
+    """sum coeffs[i] * 10^(w i) as an exact Decimal.
+
+    Slots are written from the least significant end.  A negative slot value
+    is written as its complement 10^w + c and borrows one from the next slot;
+    a borrow out of the top slot subtracts 10^(w len).
+    """
+    n = len(coeffs)
+    buf = bytearray(b"0") * (w * n)
+    end = w * n
+    borrow = 0
+    for c in coeffs:
+        c -= borrow
+        borrow = c < 0
+        if c > 0:
+            s = _digits(c).encode()
+            buf[end - len(s):end] = s
+        elif c < 0:
+            # 10^w + c = (10^w - 1) - (-c - 1): nines' complement of -c - 1
+            buf[end - w:end] = _digits(-c - 1).encode().translate(_NINES).rjust(w, b"9")
+        end -= w
+    text = buf.decode()
+    del buf  # at most two digit buffers alive at once
+    packed = _EXACT.create_decimal(text)
+    if borrow:
+        packed = _EXACT.subtract(packed, decimal.Decimal((0, (1,), w * n)))
+    return packed
+
+
+def _strip(coeffs):
+    k = len(coeffs)
+    while k and not coeffs[k - 1]:
+        k -= 1
+    return coeffs[:k]
+
+
+def _kronecker(pairs, n: int):
+    """First n coefficients of sum a * b over the (a, b) integer lists in pairs.
+
+    The slot width w satisfies 2 * (largest possible |coefficient|) < 10^w,
+    so each slot of the product holds one coefficient in balanced digits.
+    """
+    pairs = [(a, b) for a, b in ((_strip(a), _strip(b)) for a, b in pairs) if a and b]
+    if not pairs or n <= 0:
+        return [0] * max(n, 0)
+    bound = 2 * sum(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+                    for a, b in pairs)
+    w = bound.bit_length() * 30103 // 100000 + 1  # 10^w > 2^bits > bound
+    total = decimal.Decimal(0)
+    for a, b in pairs:
+        total = _EXACT.add(total, _EXACT.multiply(_pack(a, w), _pack(b, w)))
+    # shifting by zero at precision w n keeps the low n slots, with the sign
+    low = _EXACT.copy()
+    low.prec = w * n
+    text = str(low.shift(total, 0))
+    del total  # the digit string is the largest object left; free the rest first
+    negative = text.startswith("-")  # coefficients of -total are the negated ones
+    text = text.zfill(w * n + negative)  # zfill keeps the sign in front
+    base = 10**w
+    half = base // 2
+    out = []
+    carry = 0
+    for end in range(len(text), len(text) - w * n, -w):
+        d = int(_EXACT.create_decimal(text[end - w:end])) + carry
+        carry = d >= half
+        out.append(d - base if carry else d)
+    return [-c for c in out] if negative else out
+
+
+def _short_product(a, b, n: int):
+    """First n coefficients of a * b, for integer coefficient lists.
+
+    With h = ceil(n/2): a0 b0 from the first h terms of each, plus the two
+    cross products a0 b1 + a1 b0 cut to n - h terms; a1 b1 starts at q^2h
+    and is never formed.
+    """
+    a, b = a[:n], b[:n]
+    h = (n + 1) // 2
+    out = _kronecker([(a[:h], b[:h])], n)
+    cross = _kronecker([(a[:n - h], b[h:]), (a[h:], b[:n - h])], n - h)
+    for k, c in enumerate(cross, h):
+        out[k] += c
+    return out
+
+
+def _newton_inverse(f, n: int):
+    """First n coefficients of 1/f for an integer list f with f[0] == 1."""
+    g = [1]
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        # f g = 1 + q^m h mod q^m2; only the new half g h is multiplied
+        h = _short_product(f[:m2], g, m2)[m:]
+        g += [-c for c in _short_product(g, h, m2 - m)]
+        m = m2
+    return g
+
+
+def _has_fraction(coeffs) -> bool:
+    return any(isinstance(c, Fraction) for c in coeffs)
+
+
+def _over_common_denominator(coeffs):
+    """Integers f and d with coeffs[i] == f[i] / d."""
+    d = lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
+    return [c.numerator * (d // c.denominator) if isinstance(c, Fraction) else c * d
+            for c in coeffs], d
+
+
+def _fraction_positions(a, b, n: int):
+    """Where a term-by-term product picks up a Fraction: at exponent k, some
+    pair of nonzero terms a_i b_(k-i) has a Fraction factor.  Counts all
+    nonzero pairs and the int-by-int pairs; they differ exactly there."""
+    def nonzero(s):
+        return [1 if c else 0 for c in s]
+
+    def nonzero_int(s):
+        return [1 if c and not isinstance(c, Fraction) else 0 for c in s]
+
+    return [x != y for x, y in zip(_short_product(nonzero(a), nonzero(b), n),
+                                   _short_product(nonzero_int(a), nonzero_int(b), n))]
 
 
 def one(order):

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the code paths they check: class
 counting by orbit closure under the raw generators, composition checked
 through ideal-lattice multiplication and through represented values, element
-orders by the full composition table, point counts by a direct (x, y) scan.
+orders by the full composition table, q-series products and inverses by the
+schoolbook double loop and the term-by-term recurrence, point counts by a
+direct (x, y) scan.
 """
 
 import random
@@ -217,6 +219,66 @@ def table_orders(D: int):
             assert k <= h, "powers of a class never reach the identity"
         orders.append(k)
     return orders
+
+
+# --- schoolbook q-series oracles -----------------------------------------------
+
+
+def schoolbook_product(f, g):
+    """f * g by the term-by-term double loop, cut where both inputs support.
+
+    The product QSeries.__mul__ used before the Kronecker kernel, kept as
+    the reference: same valuation, truncation, values and int/Fraction types.
+    """
+    from classforms.qseries import QSeries
+
+    order = min(f.truncation_order + g.valuation, g.truncation_order + f.valuation)
+    v = f.valuation + g.valuation
+    n = order - v
+    out = [0] * n
+    for i, ci in enumerate(f.coeffs):
+        if ci == 0 or i >= n:
+            continue
+        for j, cj in enumerate(g.coeffs[: n - i]):
+            if cj:
+                out[i + j] += ci * cj
+    return QSeries(v, out, order)
+
+
+def recurrence_inverse(f):
+    """1/f by the O(N^2) recurrence out[k] = -(sum_j f_j out[k-j]) / f_0.
+
+    The inverse QSeries.inverse used before Newton iteration, kept as the
+    reference.
+    """
+    from fractions import Fraction
+
+    from classforms.qseries import QSeries
+
+    lead = f.coeffs[0]
+    n = f.truncation_order - f.valuation
+    if isinstance(lead, int) and abs(lead) == 1:
+        inv0 = lead
+    else:
+        inv0 = Fraction(1, lead)
+    out = [0] * n
+    out[0] = inv0
+    for k in range(1, n):
+        acc = 0
+        for j in range(1, k + 1):
+            cj = f.coeffs[j] if j < len(f.coeffs) else 0
+            if cj:
+                acc += cj * out[k - j]
+        out[k] = -inv0 * acc
+    return QSeries(-f.valuation, out, n - f.valuation)
+
+
+def assert_same_series(got, want):
+    """Equal valuation, truncation and coefficient list, and the same
+    int/Fraction type at every position."""
+    assert (got.valuation, got.truncation_order) == (want.valuation, want.truncation_order)
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 # --- direct point-count oracle -------------------------------------------------

@@ -163,11 +163,31 @@ def test_hilbert_class_polynomial_small():
     assert quad == [-681472000, -1264000, 1]
 
 
+def _icbrt(n: int) -> int:
+    """floor of the real cube root of n >= 0."""
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            break
+        r = s
+    while r**3 > n:
+        r -= 1
+    return r
+
+
 def test_hilbert_degree_matches_class_number():
-    for D in range(-100, -2):
+    # every fundamental |D| < 400, and D = -479 (h = 25, constant term of 167
+    # digits); D = -143 and -479 failed under the old fixed digit budget
+    for D in list(range(-399, -2)) + [-479]:
         if D % 4 in (0, 1) and qf.is_fundamental(D):
             coeffs = at.hilbert_class_polynomial(D)
             assert len(coeffs) - 1 == qf.class_number(D), D
+            if D % 3:
+                # j = gamma_2^3 with gamma_2 in Q(j) when 3 does not divide D,
+                # so H_D(0) = +-N(j) is a cube: one wrong digit breaks it
+                c0 = abs(coeffs[0])
+                assert _icbrt(c0) ** 3 == c0, D
 
 
 def test_hilbert_linear_for_class_number_one():

@@ -247,6 +247,14 @@ def test_identity_failure_exits_1(capsys, monkeypatch):
     assert "census disagrees" in captured.err
 
 
+def test_precision_exhausted_exits_3(capsys):
+    rc = cli.main(["singular-trace", "--n", "1", "--order", "5"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("precision exhausted: truncation order 5 leaves tail")
+
+
 def test_usage_errors_exit_2(capsys):
     assert cli.main(["classgroup", "84"]) == 2
     capsys.readouterr()

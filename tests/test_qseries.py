@@ -1,7 +1,10 @@
+import decimal
+import hashlib
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import assert_same_series, recurrence_inverse, schoolbook_product
 from hypothesis import given, settings, strategies as st
 
 from classforms import qseries as qs
@@ -229,3 +232,102 @@ def test_substitute_power():
     assert sub.coefficient(2) == -24
     assert sub.coefficient(1) == 0
     assert sub.coefficient(6) == -96
+
+
+# --- the Kronecker kernel against the schoolbook oracles ---------------------
+
+_ints = st.integers(0, 600).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+_rationals = st.one_of(
+    _ints,
+    st.builds(Fraction, _ints, st.integers(1, 60)),
+    st.just(Fraction(0)),
+)
+
+
+@st.composite
+def _series(draw, coefficients, nonzero_lead=False):
+    """Valuation in [-3, 3]; up to 40 terms with runs of leading and trailing
+    zeros, so the lengths fall on both sides of the short-product split."""
+    body = draw(st.lists(coefficients, max_size=40))
+    coeffs = [0] * draw(st.integers(0, 3)) + body + [0] * draw(st.integers(0, 3))
+    if nonzero_lead:
+        lead = draw(st.one_of(st.sampled_from([1, -1]), coefficients).filter(bool))
+        coeffs = [lead] + coeffs
+    v = draw(st.integers(-3, 3))
+    return qs.QSeries(v, coeffs, v + len(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series(_ints), _series(_ints))
+def test_product_matches_schoolbook_on_ints(f, g):
+    got = f * g
+    assert_same_series(got, schoolbook_product(f, g))
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series(_rationals), _series(_rationals))
+def test_product_matches_schoolbook_on_fractions(f, g):
+    assert_same_series(f * g, schoolbook_product(f, g))
+    assert_same_series(g * f, schoolbook_product(g, f))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+def test_product_with_zero_series(n):
+    zero = qs.QSeries(0, [0] * n, n)
+    f = qs.QSeries(-1, [Fraction(1, 3)] + list(range(1, n)), n - 1)
+    assert_same_series(zero * f, schoolbook_product(zero, f))
+    assert_same_series(f * zero, schoolbook_product(f, zero))
+    assert_same_series(zero * zero, schoolbook_product(zero, zero))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(_ints, nonzero_lead=True))
+def test_inverse_matches_recurrence_on_ints(f):
+    assert_same_series(f.inverse(), recurrence_inverse(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(_rationals, nonzero_lead=True))
+def test_inverse_matches_recurrence_on_fractions(f):
+    assert_same_series(f.inverse(), recurrence_inverse(f))
+
+
+def test_modular_series_match_schoolbook(monkeypatch):
+    from classforms.rademacher import _g2_coefficients
+
+    fast = [qs.delta_series(2000), qs.j_series(1000)]
+    fast_g2 = _g2_coefficients.__wrapped__(800)
+    kernel_product = qs.QSeries.__mul__
+    monkeypatch.setattr(qs.QSeries, "__mul__", lambda f, g: (
+        schoolbook_product(f, g) if isinstance(g, qs.QSeries) else kernel_product(f, g)))
+    monkeypatch.setattr(qs.QSeries, "inverse", recurrence_inverse)
+    slow = [qs.delta_series(2000), qs.j_series(1000)]
+    for got, want in zip(fast, slow):
+        assert_same_series(got, want)
+    assert fast_g2 == _g2_coefficients.__wrapped__(800)
+
+
+def test_g2_coefficients_at_benchmark_order():
+    from classforms.rademacher import _g2_coefficients
+
+    # SHA-256 of the 3201 coefficients of 2G to order 3200, as decimal strings
+    # joined by commas, recorded from the schoolbook product and recurrence
+    # inverse before the Kronecker kernel replaced them.
+    text = ",".join(str(c) for c in _g2_coefficients(3200))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "673b5c0cfcd7b3ec837d5cead4792a648eb2ba3f5899b0f1f7db2f464ac33a3d"
+    )
+
+
+def test_kernel_leaves_the_decimal_context_alone():
+    f = qs.QSeries(0, [1, -(2**200), 3, 0, 5, -7, 11, 0, 0, 13], 10)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.traps[decimal.Inexact] = True
+        ctx.clear_flags()
+        before = repr(ctx)
+        got = [f * f, f.inverse()]
+        assert repr(decimal.getcontext()) == before
+    assert_same_series(got[0], schoolbook_product(f, f))
+    assert_same_series(got[1], recurrence_inverse(f))
