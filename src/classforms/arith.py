@@ -1,6 +1,8 @@
 """Small integer helpers shared across modules, by trial division and Euclid.
 
-The numpy sieves in tables serve bulk scans; these serve single values.
+Every prime, divisor and square-free question about a single value goes
+through factorization(), the one trial-division loop in the package.  Bulk
+scans read the smallest-prime-factor sieve in tables instead.
 """
 
 
@@ -28,40 +30,52 @@ def unimodular_completion(x: int, y: int):
     return ((x, -t), (y, s))
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def prime_divisors(n: int):
-    """Distinct primes dividing n > 0, in increasing order."""
+def factorization(n: int):
+    """Prime factorization [(p, e), ...] of n >= 1, primes increasing (n = 1 gives [])."""
+    if n < 1:
+        raise ValueError("factorization needs a positive integer")
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
+                e += 1
+            out.append((d, e))
         d += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
+
+
+def divisors_from_factorization(fact):
+    """Every divisor of prod p^e over fact = [(p, e), ...], in no particular order."""
+    divs = [1]
+    for p, e in fact:
+        pk = 1
+        new = []
+        for _ in range(e):
+            pk *= p
+            new.extend(d * pk for d in divs)
+        divs.extend(new)
+    return divs
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorization(n) == [(n, 1)]
+
+
+def prime_divisors(n: int):
+    """Distinct primes dividing n > 0, in increasing order."""
+    return [p for p, _ in factorization(n)]
 
 
 def divisors(n: int):
     """Positive divisors of n > 0, in increasing order."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return sorted(divisors_from_factorization(factorization(n)))
+
+
+def is_squarefree(n: int) -> bool:
+    """Whether no square above 1 divides n > 0."""
+    return all(e == 1 for _, e in factorization(n))

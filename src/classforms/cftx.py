@@ -21,7 +21,7 @@ from math import ceil, floor
 import numpy as np
 
 from . import qseries, tables
-from .arith import divisors
+from .arith import factorization
 from .quadforms import class_number
 
 
@@ -115,23 +115,6 @@ def sawtooth(x) -> Fraction:
     return x - Fraction(ceil(x) + floor(x), 2)
 
 
-def _largest_square_divisor_root(m: int, spf=None) -> int:
-    b = 1
-    if spf is not None:
-        for p, e in tables.factorize(m, spf):
-            b *= p ** (e // 2)
-        return b
-    d = 2
-    while d * d <= m:
-        e = 0
-        while m % (d * d) == 0:
-            m //= d * d
-            e += 1
-        b *= d**e
-        d += 1
-    return b
-
-
 def polar_count_formula(m: int, h_table=None, spf=None) -> int:
     """Closed form for the number of independent polar terms at index m.
 
@@ -145,10 +128,8 @@ def polar_count_formula(m: int, h_table=None, spf=None) -> int:
     if m < 1:
         raise ValueError("index must be positive")
     six_h = 0  # 6 * sum of h(d)
-    if spf is not None:
-        divs = tables.divisors_from_factorization(tables.factorize(4 * m, spf))
-    else:
-        divs = divisors(4 * m)
+    fact = tables.factorize(4 * m, spf) if spf is not None else factorization(4 * m)
+    divs = tables.divisors_from_factorization(fact)
     for d in divs:
         if d == 3:
             six_h += 2
@@ -156,7 +137,7 @@ def polar_count_formula(m: int, h_table=None, spf=None) -> int:
             six_h += 3
         elif d % 4 in (0, 3):
             six_h += 6 * (int(h_table[d]) if h_table is not None else class_number(-d))
-    b = _largest_square_divisor_root(m, spf)
+    b = max(d for d in divs if m % (d * d) == 0)
     saw24 = 12 * sawtooth(Fraction(m, 4))  # in units of 1/24: one of 0, +-3
     total24 = 2 * m * m + 15 * m + six_h - 12 * (b // 2) - int(saw24) + 1
     if total24 % 24 != 0:
@@ -262,7 +243,7 @@ def empirical_cdf(values: np.ndarray):
 DOCUMENTED_EXTREMAL_CANDIDATES = (1, 2, 3, 4, 5, 7, 8, 11, 13)
 
 
-def extremal_n2_report(mmax: int, h_table=None, spf=None):
+def extremal_n2_report(mmax: int):
     """Rows (m, J, P, J - P) with a flag where J >= P.
 
     A flagged m means counting alone cannot rule the extremal elliptic genus
@@ -273,10 +254,8 @@ def extremal_n2_report(mmax: int, h_table=None, spf=None):
     """
     if mmax < 13:
         raise ValueError("report range must reach at least 13")
-    if h_table is None:
-        h_table = tables.class_number_table(4 * mmax)
-    if spf is None:
-        spf = tables.spf_table(4 * mmax)
+    h_table = tables.class_number_table(4 * mmax)
+    spf = tables.spf_table(4 * mmax)
     rows = []
     for m in range(1, mmax + 1):
         J = jacobi_dim(m)

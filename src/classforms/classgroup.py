@@ -18,7 +18,8 @@ from math import isqrt, log, pi
 
 from . import tables
 from .arith import is_prime, prime_divisors, xgcd
-from .quadforms import Form, _check_disc, as_form, class_number, enumerate_reduced, reduce
+from .quadforms import (Form, _check_disc, as_form, class_number, enumerate_reduced,
+                        is_fundamental, reduce)
 
 
 def identity(D: int) -> Form:
@@ -179,18 +180,9 @@ def two_torsion_order(D: int) -> int:
     the count is read off the reduced representatives directly; this matches
     counting fixed points of compose(f, f) and is fast enough for scans.
     """
-    if not _is_fundamental_int(D):
+    if not (D < 0 and is_fundamental(D)):
         raise ValueError("two-torsion count by genus theory needs a fundamental discriminant")
     return sum(1 for f in enumerate_reduced(D) if f.b == 0 or f.b == f.a or f.a == f.c)
-
-
-def _is_fundamental_int(D: int) -> bool:
-    from .quadforms import is_fundamental
-
-    try:
-        return is_fundamental(D)
-    except ValueError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -208,7 +200,7 @@ class IdealDescription:
 def ideal_from_form(f) -> IdealDescription:
     f = as_form(f)
     D = f.discriminant()
-    if not _is_fundamental_int(D):
+    if not (D < 0 and is_fundamental(D)):
         raise ValueError("the ideal map is stated for fundamental discriminants")
     if not f.is_primitive():
         raise ValueError("the ideal map needs a primitive form")
@@ -240,14 +232,7 @@ def cohen_lenstra_prediction(p: int) -> float:
         raise ValueError("p = 2 is governed by genus theory, not this heuristic")
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    value = 1.0
-    n = 1
-    while True:
-        t = float(p) ** -n
-        value *= 1.0 - t
-        if t < 1e-13:
-            return value
-        n += 1
+    return _truncated_euler_product(p)
 
 
 def cl_statistics(p: int, N: int):
@@ -268,15 +253,19 @@ def cg_constant(g: int) -> float:
     """(6/pi^2) (1 - prod_{i>=1} (1 - g^-i))."""
     if g < 2:
         raise ValueError("g must be at least 2")
-    prod = 1.0
+    return 6.0 / pi**2 * (1.0 - _truncated_euler_product(g))
+
+
+def _truncated_euler_product(x: int) -> float:
+    """prod_{i>=1} (1 - x^-i), ending with the first factor whose x^-i is below 1e-13."""
+    value = 1.0
     i = 1
     while True:
-        t = float(g) ** -i
-        prod *= 1.0 - t
+        t = float(x) ** -i
+        value *= 1.0 - t
         if t < 1e-13:
-            break
+            return value
         i += 1
-    return 6.0 / pi**2 * (1.0 - prod)
 
 
 def ng_count(g: int, x: int) -> int:

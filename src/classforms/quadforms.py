@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .arith import divisors_from_factorization, factorization, is_squarefree
+
 
 @dataclass(frozen=True, order=True)
 class Form:
@@ -67,22 +69,11 @@ def is_fundamental(D: int) -> bool:
         raise ValueError("only negative discriminants are supported")
     m = -D
     if m % 4 == 3:
-        return _is_squarefree(m)
+        return is_squarefree(m)
     if m % 4 == 0:
         m4 = m // 4
-        return m4 % 4 in (1, 2) and _is_squarefree(m4)
+        return m4 % 4 in (1, 2) and is_squarefree(m4)
     return False
-
-
-def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
 
 
 def is_reduced(f) -> bool:
@@ -213,18 +204,13 @@ def hurwitz(n: int) -> Fraction:
     if n % 4 not in (0, 1):
         return Fraction(0)
     total = Fraction(0)
-    d = 1
-    while d * d <= -n:
-        if n % (d * d) == 0:
-            inner = n // (d * d)
-            if inner % 4 in (0, 1):
-                if inner == -3:
-                    total += Fraction(1, 3)
-                elif inner == -4:
-                    total += Fraction(1, 2)
-                else:
-                    total += class_number(inner)
-        d += 1
+    for inner in _inner_discriminants(n):
+        if inner == -3:
+            total += Fraction(1, 3)
+        elif inner == -4:
+            total += Fraction(1, 2)
+        else:
+            total += class_number(inner)
     return total
 
 
@@ -238,12 +224,11 @@ def kronecker_class_number(n: int) -> int:
     """
     if n >= 0 or n % 4 not in (0, 1):
         return 0
-    total = 0
-    d = 1
-    while d * d <= -n:
-        if n % (d * d) == 0:
-            inner = n // (d * d)
-            if inner % 4 in (0, 1):
-                total += class_number(inner)
-        d += 1
-    return total
+    return sum(class_number(inner) for inner in _inner_discriminants(n))
+
+
+def _inner_discriminants(n: int):
+    """n/d^2 over the d with d^2 | n whose quotient is a discriminant, for n < 0."""
+    root = [(p, e // 2) for p, e in factorization(-n) if e >= 2]
+    quotients = (n // (d * d) for d in divisors_from_factorization(root))
+    return [inner for inner in quotients if inner % 4 in (0, 1)]

@@ -105,6 +105,21 @@ def _bessel_mpf(nu: int, x, precision_digits: int, signed: bool):
         return total
 
 
+def _kloosterman_bessel_partials(m: int, n: int, nu: int, signed: bool, prefactor, arg,
+                                 params: RademacherParams):
+    """prefactor * sum_{c<=C} K(m,n;c)/c I_nu(arg/c) (J_nu when signed), C = 1..cmax.
+
+    mpf values; the caller holds the working precision.
+    """
+    partials = []
+    acc = mp.mpf(0)
+    for c in range(1, params.cmax + 1):
+        k = _kloosterman_mpf(m, n, c, params.precision_digits)
+        acc += k / c * _bessel_mpf(nu, arg / c, params.precision_digits, signed=signed)
+        partials.append(prefactor * acc)
+    return partials
+
+
 def rademacher_inv_delta_partials(n: int, params: RademacherParams):
     """Cumulative truncations of the 1/Delta coefficient sum, c = 1..cmax.
 
@@ -116,13 +131,7 @@ def rademacher_inv_delta_partials(n: int, params: RademacherParams):
     with mp.workdps(params.precision_digits):
         prefactor = 2 * mp.pi / mp.mpf(n) ** mp.mpf("6.5")
         arg = 4 * mp.pi * mp.sqrt(n)
-        partials = []
-        acc = mp.mpf(0)
-        for c in range(1, params.cmax + 1):
-            k = _kloosterman_mpf(-1, n, c, params.precision_digits)
-            acc += k / c * _bessel_mpf(13, arg / c, params.precision_digits, signed=False)
-            partials.append(prefactor * acc)
-    return partials
+        return _kloosterman_bessel_partials(-1, n, 13, False, prefactor, arg, params)
 
 
 def rademacher_inv_delta(n: int, params: RademacherParams = RademacherParams()) -> float:
@@ -138,13 +147,8 @@ def rademacher_tau_partials(n: int, params: RademacherParams):
     with mp.workdps(params.precision_digits):
         prefactor = 2 * mp.pi * mp.mpf(n) ** mp.mpf("5.5")
         arg = 4 * mp.pi * mp.sqrt(n)
-        partials = []
-        acc = mp.mpf(0)
-        for c in range(1, params.cmax + 1):
-            k = _kloosterman_mpf(1, n, c, params.precision_digits)
-            acc += k / c * _bessel_mpf(11, arg / c, params.precision_digits, signed=True)
-            partials.append(float(prefactor * acc))
-    return partials
+        partials = _kloosterman_bessel_partials(1, n, 11, True, prefactor, arg, params)
+    return [float(x) for x in partials]
 
 
 def _tail_average(partials, window: int = 10) -> float:
@@ -185,13 +189,8 @@ def rd_partials(d: int, n: int, params: RademacherParams):
     with mp.workdps(params.precision_digits):
         prefactor = 2 * mp.pi * mp.sqrt(mp.mpf(d) / n)
         arg = 4 * mp.pi * mp.sqrt(mp.mpf(d) * n)
-        partials = []
-        acc = mp.mpf(0)
-        for c in range(1, params.cmax + 1):
-            k = _kloosterman_mpf(-d, n, c, params.precision_digits)
-            acc += k / c * _bessel_mpf(1, arg / c, params.precision_digits, signed=False)
-            partials.append(float(prefactor * acc))
-    return partials
+        partials = _kloosterman_bessel_partials(-d, n, 1, False, prefactor, arg, params)
+    return [float(x) for x in partials]
 
 
 def rd_coefficient(d: int, n: int, params: RademacherParams = RademacherParams(cmax=200)) -> float:
@@ -231,19 +230,9 @@ def _g2_coefficients(order: int):
 
 def eval_G(tau, order: int = 400, precision_digits: int = 40):
     """Value of G at tau (upper half-plane) from its q-expansion."""
-    if not _im_positive(tau):
-        raise ValueError("tau must lie in the upper half-plane")
-    g2 = _g2_coefficients(order)
     with mp.workdps(precision_digits):
-        t = mp.mpc(tau)
-        q = mp.expjpi(2 * t)
-        _check_tail(g2, abs(q), order, precision_digits)
-        qpow = 1 / q
-        total = mp.mpc(0)
-        for m in range(-1, order):
-            total += g2[m + 1] * qpow
-            qpow *= q
-        return complex(total / 2)
+        g_val, _, _ = _g_sums(tau, order)
+        return complex(g_val)
 
 
 def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
@@ -263,27 +252,34 @@ def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
 
 def eval_P_complex(tau, order: int = 400, precision_digits: int = 40):
     """The weight-0 completion without the realness assertion."""
+    with mp.workdps(precision_digits):
+        g_val, dg_val, y = _g_sums(tau, order)
+        total = -dg_val - g_val / (2 * mp.pi * y)
+        return complex(total)
+
+
+def _g_sums(tau, order: int):
+    """(G, sum of m g_m q^m, Im tau) at tau from the first `order` terms of 2G.
+
+    mpc values at the caller's working precision; raises PrecisionError when
+    the truncation tail is not below _check_tail's tolerance.
+    """
     if not _im_positive(tau):
         raise ValueError("tau must lie in the upper half-plane")
     g2 = _g2_coefficients(order)
-    with mp.workdps(precision_digits):
-        t = mp.mpc(tau)
-        q = mp.expjpi(2 * t)
-        _check_tail(g2, abs(q), order, precision_digits)
-        qpow = 1 / q
-        g_val = mp.mpc(0)
-        dg_val = mp.mpc(0)
-        for m in range(-1, order):
-            c = g2[m + 1]
-            if c:
-                g_val += c * qpow
-                dg_val += m * c * qpow
-            qpow *= q
-        g_val /= 2
-        dg_val /= 2
-        y = t.imag
-        total = -dg_val - g_val / (2 * mp.pi * y)
-        return complex(total)
+    t = mp.mpc(tau)
+    q = mp.expjpi(2 * t)
+    _check_tail(g2, abs(q), order)
+    qpow = 1 / q
+    g_val = mp.mpc(0)
+    dg_val = mp.mpc(0)
+    for m in range(-1, order):
+        c = g2[m + 1]
+        if c:
+            g_val += c * qpow
+            dg_val += m * c * qpow
+        qpow *= q
+    return g_val / 2, dg_val / 2, t.imag
 
 
 def _check_tail(g2, qabs, order, tail_tol: float = 1e-9):

@@ -8,12 +8,18 @@ progression in c, so each (a, b) pair is one strided slice-add.
 
 Array indices are |D| (so index 84 holds data for D = -84).  Entries at
 indices with |D| % 4 not in {0, 3} are zero.
+
+The arithmetic tables (Mobius, omega, square-freeness, smallest prime
+factor) all read their primes from spf_table, the one prime sieve; single
+values are answered by arith.factorization instead.
 """
 
 from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
+
+from .arith import divisors_from_factorization  # noqa: F401  (re-exported for scans)
 
 
 @lru_cache(maxsize=4)
@@ -40,13 +46,9 @@ def reduced_form_counts(limit: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _mobius_upto(limit: int) -> np.ndarray:
     mu = np.ones(limit + 1, dtype=np.int64)
-    prime = np.ones(limit + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, limit + 1):
-        if prime[p]:
-            prime[2 * p:: p] = False
-            mu[p::p] *= -1
-            mu[p * p:: p * p] = 0
+    for p in primes_upto(limit).tolist():
+        mu[p::p] *= -1
+        mu[p * p:: p * p] = 0
     return mu
 
 
@@ -76,8 +78,8 @@ def class_number_table(limit: int) -> np.ndarray:
 def squarefree_mask(limit: int) -> np.ndarray:
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
-    for f in range(2, isqrt(limit) + 1):
-        mask[f * f:: f * f] = False
+    for p in primes_upto(isqrt(limit)).tolist():
+        mask[p * p:: p * p] = False
     return mask
 
 
@@ -99,24 +101,31 @@ def fundamental_mask(limit: int) -> np.ndarray:
 def omega_table(limit: int) -> np.ndarray:
     """omega[n] = number of distinct prime divisors of n."""
     omega = np.zeros(limit + 1, dtype=np.int64)
-    prime = np.ones(limit + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, limit + 1):
-        if prime[p]:
-            prime[2 * p:: p] = False
-            omega[p::p] += 1
+    for p in primes_upto(limit).tolist():
+        omega[p::p] += 1
     return omega
 
 
 @lru_cache(maxsize=4)
 def spf_table(limit: int) -> np.ndarray:
-    """Smallest prime factor, for fast factorization of scan indices."""
+    """spf[n] = smallest prime factor of n (spf[0] = 0, spf[1] = 1).
+
+    The package's one prime sieve: only primes p <= sqrt(limit) are sieved,
+    each from p^2 on, and every n >= 2 left unmarked is prime.
+    """
     spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    return spf
+    for p in range(2, isqrt(limit) + 1):
+        if not spf[p]:
+            block = spf[p * p:: p]
+            block[block == 0] = p
+    n = np.arange(limit + 1)
+    return np.where(spf == 0, n, spf)
+
+
+def primes_upto(limit: int) -> np.ndarray:
+    """The primes p <= limit, read off spf_table as the n >= 2 with spf[n] = n."""
+    spf = spf_table(limit)
+    return np.flatnonzero(spf[2:] == np.arange(2, limit + 1)) + 2
 
 
 def factorize(n: int, spf: np.ndarray):
@@ -130,18 +139,6 @@ def factorize(n: int, spf: np.ndarray):
             e += 1
         out.append((p, e))
     return out
-
-
-def divisors_from_factorization(fact):
-    divs = [1]
-    for p, e in fact:
-        pk = 1
-        new = []
-        for _ in range(e):
-            pk *= p
-            new.extend(d * pk for d in divs)
-        divs.extend(new)
-    return divs
 
 
 @lru_cache(maxsize=4)

@@ -141,3 +141,13 @@ def test_kronecker_class_number():
 def test_apply_sl2_needs_unimodular():
     with pytest.raises(ValueError):
         qf.apply_sl2((1, 0, 1), ((1, 1), (1, 1)))
+
+
+def test_kronecker_class_number_equals_unweighted_direct_count():
+    # independent route: every reduced form counts 1, primitive or not
+    for n in range(-400, 0):
+        if n % 4 not in (0, 1):
+            assert qf.kronecker_class_number(n) == 0
+            continue
+        direct = len(qf.enumerate_reduced(n, primitive_only=False))
+        assert qf.kronecker_class_number(n) == direct, n

@@ -162,6 +162,16 @@ def test_eval_G_raises_when_order_too_small():
         rd.eval_G(complex(0.0, 0.05), order=40, precision_digits=30)
 
 
+def test_eval_G_tail_guard_uses_its_tolerance():
+    # at |q| = 0.47 order 50 leaves a tail near 1e-2, far above the 1e-9 tolerance
+    with pytest.raises(PrecisionError):
+        rd.eval_G(0.12j, order=50, precision_digits=40)
+    with pytest.raises(PrecisionError):
+        rd.eval_P_complex(0.12j, order=50, precision_digits=40)
+    reference = rd.eval_G(0.12j, order=400, precision_digits=40)
+    assert abs(rd.eval_G(0.12j, order=100, precision_digits=40) - reference) < 1e-9
+
+
 def test_enumerate_QD_n1_exact():
     points = rd.enumerate_QD(1)
     assert [tuple(p.form) for p in points] == [(6, 1, 1), (12, 13, 4), (18, 25, 9)]

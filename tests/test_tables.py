@@ -1,3 +1,6 @@
+import pytest
+
+from classforms import arith
 from classforms import classgroup as cg
 from classforms import quadforms as qf
 from classforms import tables
@@ -60,3 +63,31 @@ def test_ambiguous_counts_match_self_inverse_reduced_forms_nonfundamental():
             if f.b == 0 or f.b == f.a or f.a == f.c
         )
         assert int(amb[n]) == direct, n
+
+
+def _check_arithmetic_tables(limit):
+    spf = tables.spf_table(limit)
+    omega = tables.omega_table(limit)
+    mu = tables._mobius_upto(limit)
+    sf = tables.squarefree_mask(limit)
+    assert len(spf) == len(omega) == len(mu) == len(sf) == limit + 1
+    assert int(spf[0]) == 0 and int(omega[0]) == 0 and not sf[0]
+    for n in range(1, limit + 1):
+        fact = arith.factorization(n)
+        squarefree = all(e == 1 for _, e in fact)
+        assert int(spf[n]) == (fact[0][0] if fact else 1), n
+        assert int(omega[n]) == len(fact), n
+        assert int(mu[n]) == ((-1) ** len(fact) if squarefree else 0), n
+        assert bool(sf[n]) == squarefree, n
+    primes = [n for n in range(2, limit + 1) if arith.is_prime(n)]
+    assert tables.primes_upto(limit).tolist() == primes
+
+
+def test_arithmetic_tables_match_factorization_full_range():
+    _check_arithmetic_tables(5000)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 120, 121, 168, 169])
+def test_arithmetic_tables_at_small_and_prime_square_limits(limit):
+    # at p^2 the sieve bound sqrt(limit) is exactly p
+    _check_arithmetic_tables(limit)
