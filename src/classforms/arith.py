@@ -21,15 +21,6 @@ def xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def unimodular_completion(x: int, y: int):
-    """((x, u), (y, v)) with x*v - y*u = 1, for coprime x and y."""
-    g, s, t = xgcd(x, y)
-    if g != 1:
-        raise ValueError(f"({x}, {y}) is not a coprime pair")
-    # x*s + y*t = 1  ->  columns (x, y), (-t, s)
-    return ((x, -t), (y, s))
-
-
 def factorization(n: int):
     """Prime factorization [(p, e), ...] of n >= 1, primes increasing (n = 1 gives [])."""
     if n < 1:

@@ -19,6 +19,7 @@ import mpmath as mp
 
 from . import qseries
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
+from .rademacher import PrecisionError, _auto_order, _qabs, cm_root, q_expansion_sums
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,9 @@ def hilbert_class_polynomial(D: int, extra_digits: int = 10):
     about exp(pi sqrt|D| / a_f), and no coefficient exceeds 2^h times the
     product of the max(1, |j(tau_f)|) (Enge, Math. Comp. 2009), so the budget is
     15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + extra_digits.
+    The truncation order of j is sized from the largest |q| (the form with
+    the largest a) for a tail below 10^-digits, and every root's tail is
+    checked against that bound before its sum is taken.
     """
     if not is_fundamental(D):
         raise ValueError("class polynomials are computed for fundamental discriminants")
@@ -266,21 +270,11 @@ def hilbert_class_polynomial(D: int, extra_digits: int = 10):
     h = len(forms)
     log10_size = sum(pi * (-D) ** 0.5 / (f.a * log(10)) for f in forms) + h * log10(2)
     digits = 15 + ceil(log10_size) + extra_digits
-    order = max(40, 3 * digits)
+    order = _auto_order(_qabs(forms[-1]), tail_log10=-digits)
     jq = qseries.j_series(order)
     jc = [int(jq.coefficient(k)) for k in range(-1, order)]
     with mp.workdps(digits):
-        roots = []
-        for f in forms:
-            a, b, _ = f
-            tau = mp.mpc(-b, mp.sqrt(-D)) / (2 * a)
-            q = mp.expjpi(2 * tau)
-            total = mp.mpc(0)
-            qpow = 1 / q
-            for c in jc:
-                total += c * qpow
-                qpow *= q
-            roots.append(total)
+        roots = [q_expansion_sums(jc, cm_root(f, digits), tail_log10=-digits)[0] for f in forms]
         # expand prod (X - root) with complex arithmetic, then round
         coeffs = [mp.mpc(1)]
         for r in roots:
@@ -294,8 +288,6 @@ def hilbert_class_polynomial(D: int, extra_digits: int = 10):
             residual = max(residual, abs(c - n))
             rounded.append(int(n))
     if residual > 1e-4:
-        from .rademacher import PrecisionError
-
         raise PrecisionError(
             f"class polynomial rounding residual {float(residual):.3e}; "
             f"raise extra_digits above {extra_digits}"

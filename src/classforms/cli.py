@@ -11,15 +11,12 @@ budget (PrecisionError; stderr gives the residual reached).
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import attractor, cftx, classgroup, eccensus, qseries, rademacher, tables
 from .quadforms import is_fundamental
-
-_DEFAULT_PRECISION_ENV = "CLASSFORMS_PRECISION"
 
 
 def _fmt(x):
@@ -80,13 +77,6 @@ def _disc(args) -> int:
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
-
-
-def _default_precision() -> int:
-    try:
-        return int(os.environ.get(_DEFAULT_PRECISION_ENV, "30"))
-    except ValueError:
-        return 30
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -201,7 +191,7 @@ def _cmd_singular_trace(args, t0):
         "trace": value,
         "expected": expected,
         "abs_residual": abs(value - expected),
-        "points": [list(p.form) for p in rademacher.enumerate_QD(args.n)],
+        "points": [list(f) for f in rademacher.enumerate_QD(args.n)],
     }
     _emit(args, "singular-trace", {"n": args.n}, results,
           "classforms.rademacher.trace_singular_moduli", t0)
@@ -381,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=1, help="principal-part depth for kind=rd")
     p.add_argument("--cmax", type=int, default=200)
-    p.add_argument("--precision", type=int, default=_default_precision())
+    p.add_argument("--precision", type=int, default=30)
     p.set_defaults(func=_cmd_rademacher)
 
     p = sub.add_parser("singular-trace", help="trace of the completed level-6 form")

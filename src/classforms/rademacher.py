@@ -9,7 +9,9 @@ need no such treatment.
 The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
 of forms of discriminant 1 - 24n.  That trace is an integer multiple of the
-partition number p(n), which is the acceptance check for all of it.
+partition number p(n), which is the acceptance check for all of it.  Its
+CM-point helpers (the root of a form, |q| there, and the one tail-guarded
+q-expansion sum) also evaluate j for the class polynomials in attractor.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,7 @@ from math import gcd, log, pi, sqrt
 
 import mpmath as mp
 
-from .arith import unimodular_completion
-from .quadforms import Form, apply_sl2, enumerate_reduced
+from .quadforms import Form, enumerate_reduced, reduce
 from . import qseries
 
 _LN2 = log(2.0)
@@ -231,8 +232,8 @@ def _g2_coefficients(order: int):
 def eval_G(tau, order: int = 400, precision_digits: int = 40):
     """Value of G at tau (upper half-plane) from its q-expansion."""
     with mp.workdps(precision_digits):
-        g_val, _, _ = _g_sums(tau, order)
-        return complex(g_val)
+        g2_val, _ = q_expansion_sums(_g2_coefficients(order), tau)
+        return complex(g2_val / 2)
 
 
 def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
@@ -253,42 +254,45 @@ def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
 def eval_P_complex(tau, order: int = 400, precision_digits: int = 40):
     """The weight-0 completion without the realness assertion."""
     with mp.workdps(precision_digits):
-        g_val, dg_val, y = _g_sums(tau, order)
-        total = -dg_val - g_val / (2 * mp.pi * y)
+        g2_val, dg2_val = q_expansion_sums(_g2_coefficients(order), tau)
+        g_val, dg_val = g2_val / 2, dg2_val / 2
+        total = -dg_val - g_val / (2 * mp.pi * mp.mpc(tau).imag)
         return complex(total)
 
 
-def _g_sums(tau, order: int):
-    """(G, sum of m g_m q^m, Im tau) at tau from the first `order` terms of 2G.
+def q_expansion_sums(coeffs, tau, tail_log10: float = -9.0):
+    """(sum c_m q^m, sum m c_m q^m) at q = exp(2 pi i tau), c_m = coeffs[m + 1], m >= -1.
 
-    mpc values at the caller's working precision; raises PrecisionError when
-    the truncation tail is not below _check_tail's tolerance.
+    The one q-expansion loop at CM points: G and P sum the coefficients of
+    2G with it, class polynomials those of j.  mpc values at the caller's
+    working precision; raises PrecisionError when the truncation tail is not
+    below 10^tail_log10.
     """
     if not _im_positive(tau):
         raise ValueError("tau must lie in the upper half-plane")
-    g2 = _g2_coefficients(order)
     t = mp.mpc(tau)
     q = mp.expjpi(2 * t)
-    _check_tail(g2, abs(q), order)
+    _check_tail(coeffs, abs(q), tail_log10)
     qpow = 1 / q
-    g_val = mp.mpc(0)
-    dg_val = mp.mpc(0)
-    for m in range(-1, order):
-        c = g2[m + 1]
+    total = mp.mpc(0)
+    dtotal = mp.mpc(0)
+    for m, c in enumerate(coeffs, start=-1):
         if c:
-            g_val += c * qpow
-            dg_val += m * c * qpow
+            total += c * qpow
+            dtotal += m * c * qpow
         qpow *= q
-    return g_val / 2, dg_val / 2, t.imag
+    return total, dtotal
 
 
-def _check_tail(g2, qabs, order, tail_tol: float = 1e-9):
-    # log-scale estimate: the last kept term, with a factor `order` of slack
-    c = abs(g2[-1])
+def _check_tail(coeffs, qabs, tail_log10: float):
+    # log-scale estimate: the last kept term, with a factor `order` of slack;
+    # ln|q| comes from mpmath, since |q| itself can underflow a float
+    order = len(coeffs) - 1
+    c = abs(coeffs[-1])
     log10_tail = (
-        (c.bit_length() * _LN2 if c else -1e9) + (order - 1) * log(float(qabs)) + log(order)
+        (c.bit_length() * _LN2 if c else -1e9) + (order - 1) * float(mp.log(qabs)) + log(order)
     ) / log(10.0)
-    if log10_tail > log(tail_tol) / log(10.0):
+    if log10_tail > tail_log10:
         raise PrecisionError(
             f"truncation order {order} leaves tail ~1e{log10_tail:.0f} at |q|={float(qabs):.4f}"
         )
@@ -298,104 +302,47 @@ def _im_positive(tau) -> bool:
     return complex(tau).imag > 0
 
 
-@dataclass(frozen=True)
-class CMPoint:
-    """A form [a,b,c] with 6 | a, b = 1 mod 12, and its upper-half-plane root."""
-
-    form: Form
-
-    @property
-    def tau(self) -> complex:
-        a, b, c = self.form
-        disc = b * b - 4 * a * c
-        return complex(-b, (-disc) ** 0.5) / (2 * a)
-
-    def tau_mp(self, precision_digits: int):
-        a, b, c = self.form
-        disc = b * b - 4 * a * c
-        with mp.workdps(precision_digits):
-            return mp.mpc(-b, mp.sqrt(-disc)) / (2 * a)
+def cm_root(f: Form, precision_digits: int):
+    """Upper-half-plane root of a tau^2 + b tau + c = 0, an mpc at precision_digits."""
+    a, b, _ = f
+    with mp.workdps(precision_digits):
+        return mp.mpc(-b, mp.sqrt(-f.discriminant())) / (2 * a)
 
 
-def _level_rep(f: Form, search_limit: int = 48):
-    """An equivalent form with 6 | a and b = 1 mod 12, minimizing a.
-
-    b mod 12 is rigid under completion choice and translation once (x, y) is
-    fixed (both move b by multiples of 2a, and 12 | 2a), so each coprime pair
-    with 6 | f(x, y) is tested for the b = 1 residue directly.
-    """
-    best = None
-    for limit in (6, 12, 24, search_limit):
-        for x in range(-limit, limit + 1):
-            for y in range(-limit, limit + 1):
-                if gcd(x, y) != 1:
-                    continue
-                a2 = f(x, y)
-                if a2 % 6 != 0:
-                    continue
-                if best is not None and a2 >= best.a:
-                    continue
-                g = apply_sl2(f, unimodular_completion(x, y))
-                if g.b % 12 != 1:
-                    continue
-                b2 = g.b % (2 * g.a)
-                c2 = (b2 * b2 - g.discriminant()) // (4 * g.a)
-                cand = Form(g.a, b2, c2)
-                if best is None or (cand.a, cand.b) < (best.a, best.b):
-                    best = cand
-        if best is not None:
-            return best
-    raise ArithmeticError(f"no level-6 representative found for {f} within {search_limit}")
+def _qabs(f: Form) -> float:
+    """|q| = exp(-pi sqrt|D| / a) at the root of f."""
+    return float(mp.e ** (-mp.pi * mp.sqrt(-f.discriminant()) / f.a))
 
 
 def enumerate_QD(n: int):
-    """Representatives of the level-6 classes of discriminant 1 - 24n.
+    """Representatives of the level-6 classes of discriminant 1 - 24n, sorted by (a, b, c).
 
-    One representative per SL2(Z) class, normalized to 6 | a, b = 1 mod 12,
-    with minimal a over the searched window; distinct SL2(Z) classes can
-    never be identified by the smaller group, so the list is pairwise
-    inequivalent.  Its length is recorded by callers and expected (not
-    required) to be the class number h(1 - 24n).
+    Each SL2(Z) class, imprimitive ones included, holds exactly one Gamma0(6)
+    class of forms [a, b, c] with 6 | a and b = 1 mod 12 (Gross-Kohnen-Zagier,
+    Math. Ann. 1987, I.1).  Walking a = 6, 12, 18, ... and b = 1 mod 12 in
+    [0, 2a), the first form met in each class is kept, so every
+    representative has the least a (then b) in its class; the walk stops
+    once every reduced class is covered, which the bijection guarantees.
+    The list therefore has h(1 - 24n) entries (imprimitive classes counted)
+    and is pairwise inequivalent.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    D0 = 1 - 24 * n
-    points = [CMPoint(_level_rep(f)) for f in enumerate_reduced(D0, primitive_only=False)]
-    points.sort(key=lambda p: (p.form.a, p.form.b, p.form.c))
-    return points
-
-
-def gamma0_equivalent(f, g, level: int = 6, bound: int = 50) -> bool:
-    """Bounded search for a level-`level` matrix taking f to g.
-
-    Certifies inequivalence only up to the entry bound; used as a desk-scale
-    certificate on the enumerated representatives.
-    """
-    f = Form(*f)
-    g = Form(*g)
-    if f.discriminant() != g.discriminant():
-        return False
-    for ga in range(-bound, bound + 1):
-        if ga % level != 0:
-            continue
-        for al in range(-bound, bound + 1):
-            if ga == 0:
-                if abs(al) != 1:
-                    continue
-                for be in range(-bound, bound + 1):
-                    if apply_sl2(f, ((al, be), (0, al))) == g:
-                        return True
+    D = 1 - 24 * n
+    uncovered = set(enumerate_reduced(D, primitive_only=False))
+    reps = []
+    a = 0
+    while uncovered:
+        a += 6
+        for b in range(1, 2 * a, 12):
+            if (b * b - D) % (4 * a):
                 continue
-            # al*de - be*ga = 1 with be integral
-            for de in range(-bound, bound + 1):
-                if (al * de - 1) % ga != 0:
-                    continue
-                be = (al * de - 1) // ga
-                if abs(be) > bound:
-                    continue
-                if apply_sl2(f, ((al, be), (ga, de))) == g:
-                    return True
-    return False
+            f = Form(a, b, (b * b - D) // (4 * a))
+            cls = reduce(f)
+            if cls in uncovered:
+                uncovered.remove(cls)
+                reps.append(f)
+    return reps
 
 
 def trace_singular_moduli(n: int, order: int | None = None,
@@ -408,8 +355,8 @@ def trace_singular_moduli(n: int, order: int | None = None,
     classes); only the full sum is real, and that realness is asserted to
     1e-8.  PrecisionError carries the residual when the tolerance is missed.
     """
-    points = enumerate_QD(n)
-    qabs_max = max(_qabs(p) for p in points)
+    forms = enumerate_QD(n)
+    qabs_max = max(_qabs(f) for f in forms)
     if order is None:
         order = _auto_order(qabs_max)
     g2 = _g2_coefficients(order)
@@ -421,17 +368,11 @@ def trace_singular_moduli(n: int, order: int | None = None,
         )
         precision_digits = 30 + max(0, int(peak / log(10.0)) + 5)
     total = complex(0)
-    for p in points:
-        total += eval_P_complex(p.tau_mp(precision_digits), order, precision_digits)
+    for f in forms:
+        total += eval_P_complex(cm_root(f, precision_digits), order, precision_digits)
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise PrecisionError(f"trace has imaginary residual {total.imag}")
     return total.real
-
-
-def _qabs(p: CMPoint) -> float:
-    a = p.form.a
-    disc = p.form.discriminant()
-    return float(mp.e ** (-mp.pi * mp.sqrt(-disc) / a))
 
 
 def _auto_order(qabs: float, tail_log10: float = -14.0) -> int:

@@ -1,7 +1,8 @@
 """Bulk tables over discriminant ranges, built with strided numpy updates.
 
-The per-discriminant functions in quadforms cost O(sqrt(|D|)) each, which is
-fine pointwise but hopeless for scans up to 10^6.  Here the whole family of
+The per-discriminant functions in quadforms cost O(|D|) each (enumeration
+visits about |D|/6 pairs (a, b) with a <= sqrt(|D|/3)), which is fine
+pointwise but hopeless for scans up to 10^6.  Here the whole family of
 reduced forms below a bound is swept once: a reduced form [a,b,c] contributes
 to |D| = 4ac - b^2, and for fixed (a, b) the discriminants form an arithmetic
 progression in c, so each (a, b) pair is one strided slice-add.

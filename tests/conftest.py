@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths they check: class
 counting by orbit closure under the raw generators, composition checked
 through ideal-lattice multiplication and through represented values, element
 orders by the full composition table, q-series products and inverses by the
-schoolbook double loop and the term-by-term recurrence, point counts by a
-direct (x, y) scan.
+schoolbook double loop and the term-by-term recurrence, level-6
+representatives by a windowed search over coprime pairs and level-6
+equivalence by a bounded matrix search, point counts by a direct (x, y) scan.
 """
 
 import random
@@ -219,6 +220,81 @@ def table_orders(D: int):
             assert k <= h, "powers of a class never reach the identity"
         orders.append(k)
     return orders
+
+
+# --- level-6 representative oracles ---------------------------------------------
+
+
+def level_rep_by_window_search(f, search_limit: int = 48):
+    """An equivalent form with 6 | a and b = 1 mod 12, minimizing a, then b.
+
+    The route enumerate_QD used before its direct walk: every coprime pair
+    (x, y) in growing windows (6, 12, 24, then search_limit) with 6 | f(x, y)
+    is completed to a unimodular matrix, and b mod 12 is tested directly
+    (completion choice and translation move b by multiples of 2a, and
+    12 | 2a).  Minimal only within the window that first finds a candidate.
+    """
+    from classforms.quadforms import apply_sl2
+
+    best = None
+    for limit in (6, 12, 24, search_limit):
+        for x in range(-limit, limit + 1):
+            for y in range(-limit, limit + 1):
+                if gcd(x, y) != 1:
+                    continue
+                a2 = f(x, y)
+                if a2 % 6 != 0:
+                    continue
+                if best is not None and a2 >= best.a:
+                    continue
+                _, s, t = xgcd(x, y)
+                if (x * s + y * t) == -1:
+                    s, t = -s, -t
+                g = apply_sl2(f, ((x, -t), (y, s)))
+                if g.b % 12 != 1:
+                    continue
+                b2 = g.b % (2 * g.a)
+                cand = Form(g.a, b2, (b2 * b2 - g.discriminant()) // (4 * g.a))
+                if best is None or (cand.a, cand.b) < (best.a, best.b):
+                    best = cand
+        if best is not None:
+            return best
+    raise ArithmeticError(f"no level-6 representative found for {f} within {search_limit}")
+
+
+def gamma0_equivalent(f, g, level: int = 6, bound: int = 50) -> bool:
+    """Bounded search for a level-`level` matrix taking f to g.
+
+    Certifies inequivalence only up to the entry bound; a desk-scale
+    certificate on the enumerated representatives.
+    """
+    from classforms.quadforms import apply_sl2
+
+    f = Form(*f)
+    g = Form(*g)
+    if f.discriminant() != g.discriminant():
+        return False
+    for ga in range(-bound, bound + 1):
+        if ga % level != 0:
+            continue
+        for al in range(-bound, bound + 1):
+            if ga == 0:
+                if abs(al) != 1:
+                    continue
+                for be in range(-bound, bound + 1):
+                    if apply_sl2(f, ((al, be), (0, al))) == g:
+                        return True
+                continue
+            # al*de - be*ga = 1 with be integral
+            for de in range(-bound, bound + 1):
+                if (al * de - 1) % ga != 0:
+                    continue
+                be = (al * de - 1) // ga
+                if abs(be) > bound:
+                    continue
+                if apply_sl2(f, ((al, be), (ga, de))) == g:
+                    return True
+    return False
 
 
 # --- schoolbook q-series oracles -----------------------------------------------

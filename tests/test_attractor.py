@@ -200,3 +200,12 @@ def test_hilbert_linear_for_class_number_one():
 def test_hilbert_rejects_non_fundamental():
     with pytest.raises(ValueError):
         at.hilbert_class_polynomial(-12)
+
+
+def test_hilbert_checks_each_root_tail(monkeypatch):
+    # a truncation too short for the largest |q| is refused, not rounded
+    from classforms.rademacher import PrecisionError
+
+    monkeypatch.setattr(at, "_auto_order", lambda qabs, tail_log10: 20)
+    with pytest.raises(PrecisionError, match="truncation order 20"):
+        at.hilbert_class_polynomial(-479)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -88,6 +89,29 @@ def test_rademacher_subcommand(capsys):
     assert rc == 0
     assert env["results"]["exact"] == 324
     assert env["results"]["relative_error"] < 1e-3
+
+
+def test_precision_default_ignores_environment(capsys, monkeypatch):
+    # --precision defaults to the constant 30; no environment variable feeds it
+    monkeypatch.setenv("CLASSFORMS_PRECISION", "12")
+    rc, env, _ = run_json(capsys, ["rademacher", "invdelta", "--n", "2", "--cmax", "30"])
+    assert rc == 0
+    assert env["parameters"]["precision"] == 30
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["singular-trace", "--n", "8"],
+     "c55f6bc586db2b278c77942b67b6ce01e8f7818cae89c4e2dd4c93e1a4b93f7c"),
+    (["bh", "hilbert", "-479"],
+     "327a5ebd63998562be6632d2e97e95bcb0a9b179be1613141f445ad6d92b0365"),
+    # 310 working digits: the tail tolerance 10^-310 underflows a float
+    (["bh", "hilbert", "-1055"],
+     "e22a4309375c4b7604320562cf274a215b6230626a6304101cb72fe7e711f865"),
+])
+def test_cm_point_outputs_pinned(capsys, argv, sha256):
+    # full stdout recorded before the level-6 walk and the shared q-expansion sum
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 def test_singular_trace_subcommand(capsys):
