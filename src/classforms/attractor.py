@@ -248,18 +248,21 @@ def attractor_tau(f) -> complex:
     return complex(-b, (4 * a * c - b * b) ** 0.5) / (2 * a)
 
 
-def hilbert_class_polynomial(D: int, extra_digits: int = 10):
+_EXTRA_DIGITS = 10
+
+
+def hilbert_class_polynomial(D: int):
     """Monic integer polynomial with roots j(tau_Q), one per reduced class.
 
     Coefficients are computed numerically from the q-expansion of j at each
     fixed point and rounded; the rounding residual must stay below 1e-4 or a
-    PrecisionError is raised with the achieved value.  Returns the
-    coefficient list [c_0, ..., c_{h-1}, 1] (degree h(D)).
+    PrecisionError reports the residual reached and the digits used.
+    Returns the coefficient list [c_0, ..., c_{h-1}, 1] (degree h(D)).
 
     The working precision covers the largest coefficient: |j(tau_f)| is
     about exp(pi sqrt|D| / a_f), and no coefficient exceeds 2^h times the
     product of the max(1, |j(tau_f)|) (Enge, Math. Comp. 2009), so the budget is
-    15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + extra_digits.
+    15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + _EXTRA_DIGITS.
     The truncation order of j is sized from the largest |q| (the form with
     the largest a) for a tail below 10^-digits, and every root's tail is
     checked against that bound before its sum is taken.
@@ -269,7 +272,7 @@ def hilbert_class_polynomial(D: int, extra_digits: int = 10):
     forms = enumerate_reduced(D)
     h = len(forms)
     log10_size = sum(pi * (-D) ** 0.5 / (f.a * log(10)) for f in forms) + h * log10(2)
-    digits = 15 + ceil(log10_size) + extra_digits
+    digits = 15 + ceil(log10_size) + _EXTRA_DIGITS
     order = _auto_order(_qabs(forms[-1]), tail_log10=-digits)
     jq = qseries.j_series(order)
     jc = [int(jq.coefficient(k)) for k in range(-1, order)]
@@ -289,8 +292,7 @@ def hilbert_class_polynomial(D: int, extra_digits: int = 10):
             rounded.append(int(n))
     if residual > 1e-4:
         raise PrecisionError(
-            f"class polynomial rounding residual {float(residual):.3e}; "
-            f"raise extra_digits above {extra_digits}"
+            f"class polynomial rounding residual {float(residual):.3e} at {digits} digits"
         )
     assert len(rounded) == h + 1 and rounded[-1] == 1
     return rounded

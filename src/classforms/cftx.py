@@ -70,6 +70,8 @@ def verify_zk_identity(k: int, cmax: int = 200, order: int = 6,
 
     if not 1 <= k <= 4:
         raise ValueError("identity verification is desk-scale: k between 1 and 4")
+    if order < 2:
+        raise ValueError("order must be at least 2: the identity is checked from q^1 on")
     params = RademacherParams(cmax=cmax, precision_digits=precision_digits)
     zk = extremal_partition_function(k, order)
     nmax = min(5, order - 1)
@@ -190,14 +192,18 @@ def normalized_excess(m: int, P: int) -> float:
     return (P - m * m / 12.0 - 5.0 * m / 8.0) / m**0.5
 
 
-def figure_data(mmax: int, crosscheck_upto: int = 2000, crosscheck_stride: int = 997):
+_CROSSCHECK_UPTO = 2000
+_CROSSCHECK_STRIDE = 997
+
+
+def figure_data(mmax: int):
     """(m, normalized_excess) for m = 1..mmax, with the cross-check pipeline.
 
     The formula value is verified against the direct lattice count for every
-    m up to crosscheck_upto and on a deterministic stride beyond (the direct
-    count is O(m), so a full sweep at 10^5 would dominate the runtime);
-    every emitted value has also passed the integrality assertion inside
-    polar_count_formula.
+    m up to _CROSSCHECK_UPTO and at every multiple of _CROSSCHECK_STRIDE
+    beyond (the direct count is O(m), so a full sweep at 10^5 would dominate
+    the runtime); every emitted value has also passed the integrality
+    assertion inside polar_count_formula.
     """
     if mmax < 1:
         raise ValueError("mmax must be positive")
@@ -206,11 +212,11 @@ def figure_data(mmax: int, crosscheck_upto: int = 2000, crosscheck_stride: int =
     out = np.empty(mmax, dtype=float)
     for m in range(1, mmax + 1):
         P = polar_count_formula(m, h_table=h, spf=spf)
-        if m <= crosscheck_upto or m % crosscheck_stride == 0:
+        if m <= _CROSSCHECK_UPTO or m % _CROSSCHECK_STRIDE == 0:
             bf = polar_count_bruteforce(m)
             if P != bf:
                 raise ArithmeticError(f"formula {P} != direct count {bf} at m = {m}")
-        out[m - 1] = (P - m * m / 12.0 - 5.0 * m / 8.0) / m**0.5
+        out[m - 1] = normalized_excess(m, P)
     return out
 
 

@@ -12,10 +12,10 @@ substitution: each operand's integer coefficients are packed into one big
 decimal number, one slot of w digits per coefficient, the two numbers are
 multiplied once by the C `decimal` module (libmpdec multiplies large numbers
 by a number-theoretic transform), and the slots are read back with balanced
-digits.  A truncated product splits both operands at half the wanted length
-and never forms the coefficients past the truncation.  An inverse is Newton
-iteration on that product, doubling the number of correct terms per step.
-Fractions are cleared to a common denominator per operand first.
+digits.  A truncated product packs each operand cut to the wanted length and
+reads back only the low slots.  An inverse is Newton iteration on that
+product, doubling the number of correct terms per step.  Fractions are
+cleared to a common denominator per operand first.
 """
 
 import decimal
@@ -90,8 +90,8 @@ class QSeries:
     def __mul__(self, other):
         """Product with a scalar or a series, cut at the order both support.
 
-        One Kronecker-substituted short product (see the module docstring) on
-        the operands cleared of denominators.  A coefficient is a Fraction
+        One Kronecker-substituted product (see the module docstring) on the
+        operands cleared of denominators.  A coefficient is a Fraction
         exactly where the term-by-term sum would meet a Fraction factor, so
         int series multiply to int series.
         """
@@ -109,7 +109,7 @@ class QSeries:
         a, b = self.coeffs[:n], other.coeffs[:n]
         ia, da = _over_common_denominator(a)
         ib, db = _over_common_denominator(b)
-        out = _short_product(ia, ib, n)
+        out = _kronecker(ia, ib, n)
         if _has_fraction(a) or _has_fraction(b):
             den = da * db
             out = [Fraction(c, den) if frac else c // den
@@ -249,27 +249,26 @@ def _strip(coeffs):
     return coeffs[:k]
 
 
-def _kronecker(pairs, n: int):
-    """First n coefficients of sum a * b over the (a, b) integer lists in pairs.
+def _kronecker(a, b, n: int):
+    """First n coefficients of a * b, for integer coefficient lists.
 
-    The slot width w satisfies 2 * (largest possible |coefficient|) < 10^w,
-    so each slot of the product holds one coefficient in balanced digits.
+    Both operands are cut to n terms and multiplied once.  The slot width w
+    satisfies 2 * (largest possible |coefficient|) < 10^w, so each slot of
+    the product holds one coefficient in balanced digits; only the low n
+    slots are read back.
     """
-    pairs = [(a, b) for a, b in ((_strip(a), _strip(b)) for a, b in pairs) if a and b]
-    if not pairs or n <= 0:
-        return [0] * max(n, 0)
-    bound = 2 * sum(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-                    for a, b in pairs)
+    a, b = _strip(a[:n]), _strip(b[:n])
+    if not a or not b:
+        return [0] * n
+    bound = 2 * max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     w = bound.bit_length() * 30103 // 100000 + 1  # 10^w > 2^bits > bound
-    total = decimal.Decimal(0)
-    for a, b in pairs:
-        total = _EXACT.add(total, _EXACT.multiply(_pack(a, w), _pack(b, w)))
+    product = _EXACT.multiply(_pack(a, w), _pack(b, w))
     # shifting by zero at precision w n keeps the low n slots, with the sign
     low = _EXACT.copy()
     low.prec = w * n
-    text = str(low.shift(total, 0))
-    del total  # the digit string is the largest object left; free the rest first
-    negative = text.startswith("-")  # coefficients of -total are the negated ones
+    text = str(low.shift(product, 0))
+    del product  # the digit string is the largest object left; free the rest first
+    negative = text.startswith("-")  # coefficients of -product are the negated ones
     text = text.zfill(w * n + negative)  # zfill keeps the sign in front
     base = 10**w
     half = base // 2
@@ -282,22 +281,6 @@ def _kronecker(pairs, n: int):
     return [-c for c in out] if negative else out
 
 
-def _short_product(a, b, n: int):
-    """First n coefficients of a * b, for integer coefficient lists.
-
-    With h = ceil(n/2): a0 b0 from the first h terms of each, plus the two
-    cross products a0 b1 + a1 b0 cut to n - h terms; a1 b1 starts at q^2h
-    and is never formed.
-    """
-    a, b = a[:n], b[:n]
-    h = (n + 1) // 2
-    out = _kronecker([(a[:h], b[:h])], n)
-    cross = _kronecker([(a[:n - h], b[h:]), (a[h:], b[:n - h])], n - h)
-    for k, c in enumerate(cross, h):
-        out[k] += c
-    return out
-
-
 def _newton_inverse(f, n: int):
     """First n coefficients of 1/f for an integer list f with f[0] == 1."""
     g = [1]
@@ -305,8 +288,8 @@ def _newton_inverse(f, n: int):
     while m < n:
         m2 = min(2 * m, n)
         # f g = 1 + q^m h mod q^m2; only the new half g h is multiplied
-        h = _short_product(f[:m2], g, m2)[m:]
-        g += [-c for c in _short_product(g, h, m2 - m)]
+        h = _kronecker(f, g, m2)[m:]
+        g += [-c for c in _kronecker(g, h, m2 - m)]
         m = m2
     return g
 
@@ -332,8 +315,8 @@ def _fraction_positions(a, b, n: int):
     def nonzero_int(s):
         return [1 if c and not isinstance(c, Fraction) else 0 for c in s]
 
-    return [x != y for x, y in zip(_short_product(nonzero(a), nonzero(b), n),
-                                   _short_product(nonzero_int(a), nonzero_int(b), n))]
+    return [x != y for x, y in zip(_kronecker(nonzero(a), nonzero(b), n),
+                                   _kronecker(nonzero_int(a), nonzero_int(b), n))]
 
 
 def one(order):
@@ -406,26 +389,10 @@ def j_series(order: int) -> QSeries:
 
 
 def partition_numbers(nmax: int):
-    """p(0..nmax) by the pentagonal-number recurrence."""
+    """p(0..nmax), the coefficients of 1 / prod (1 - q^n)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    p = [1] + [0] * nmax
-    for n in range(1, nmax + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return p
+    return euler_product(nmax + 1).inverse().coeffs
 
 
 def pk_coefficient(k: int, t: int, n: int) -> int:

@@ -152,9 +152,12 @@ def rademacher_tau_partials(n: int, params: RademacherParams):
     return [float(x) for x in partials]
 
 
-def _tail_average(partials, window: int = 10) -> float:
-    """Average of the last few partial sums; damps conditional oscillation."""
-    w = min(window, len(partials))
+_TAIL_WINDOW = 10
+
+
+def _tail_average(partials) -> float:
+    """Average of the last _TAIL_WINDOW partial sums; damps conditional oscillation."""
+    w = min(_TAIL_WINDOW, len(partials))
     return sum(partials[-w:]) / w
 
 
@@ -354,7 +357,13 @@ def trace_singular_moduli(n: int, order: int | None = None,
     1e-10.  Individual summands are complex (conjugate-paired across inverse
     classes); only the full sum is real, and that realness is asserted to
     1e-8.  PrecisionError carries the residual when the tolerance is missed.
+    An explicit order must be at least 1 and an explicit precision at least
+    15 digits, the floor RademacherParams applies.
     """
+    if order is not None and order < 1:
+        raise ValueError("order must be at least 1")
+    if precision_digits is not None and precision_digits < 15:
+        raise ValueError("precision_digits must be at least 15")
     forms = enumerate_QD(n)
     qabs_max = max(_qabs(f) for f in forms)
     if order is None:

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the code paths they check: class
 counting by orbit closure under the raw generators, composition checked
 through ideal-lattice multiplication and through represented values, element
 orders by the full composition table, q-series products and inverses by the
-schoolbook double loop and the term-by-term recurrence, level-6
-representatives by a windowed search over coprime pairs and level-6
-equivalence by a bounded matrix search, point counts by a direct (x, y) scan.
+schoolbook double loop and the term-by-term recurrence, partition numbers by
+the pentagonal-number recurrence, level-6 representatives by a windowed
+search over coprime pairs and level-6 equivalence by a bounded matrix
+search, point counts by a direct (x, y) scan.
 """
 
 import random
@@ -347,6 +348,31 @@ def recurrence_inverse(f):
                 acc += cj * out[k - j]
         out[k] = -inv0 * acc
     return QSeries(-f.valuation, out, n - f.valuation)
+
+
+def partition_numbers_by_recurrence(nmax):
+    """p(0..nmax) by Euler's pentagonal-number recurrence.
+
+    The route qseries.partition_numbers used before it read the inverse of
+    the Euler product, kept as the reference.
+    """
+    p = [1] + [0] * nmax
+    for n in range(1, nmax + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > n and g2 > n:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            if g1 <= n:
+                total += sign * p[n - g1]
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p[n] = total
+    return p
 
 
 def assert_same_series(got, want):

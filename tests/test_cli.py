@@ -284,6 +284,13 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["trace", "--weight", "5", "--n", "1"]) == 2
     capsys.readouterr()
+    for argv, name in [
+        (["singular-trace", "--n", "1", "--order", "0"], "order"),
+        (["singular-trace", "--n", "1", "--precision", "0"], "precision"),
+        (["cft", "zk", "--k", "1", "--order", "1", "--cmax", "10"], "order"),
+    ]:
+        assert cli.main(argv) == 2, argv
+        assert name in capsys.readouterr().err, argv
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2

@@ -4,7 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import assert_same_series, recurrence_inverse, schoolbook_product
+from conftest import (
+    assert_same_series,
+    partition_numbers_by_recurrence,
+    recurrence_inverse,
+    schoolbook_product,
+)
 from hypothesis import given, settings, strategies as st
 
 from classforms import qseries as qs
@@ -59,6 +64,14 @@ def test_partition_numbers():
     assert p[4] == 5
     assert p[10] == 42
     assert p == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def test_partition_numbers_match_recurrence():
+    want = partition_numbers_by_recurrence(500)
+    for n in range(501):
+        got = qs.partition_numbers(n)
+        assert got == want[: n + 1]
+        assert all(type(c) is int for c in got)
 
 
 def test_pk_coefficient_examples():
@@ -247,7 +260,8 @@ _rationals = st.one_of(
 @st.composite
 def _series(draw, coefficients, nonzero_lead=False):
     """Valuation in [-3, 3]; up to 40 terms with runs of leading and trailing
-    zeros, so the lengths fall on both sides of the short-product split."""
+    zeros, so operands of unequal length and zero runs that the kernel
+    strips before packing are both drawn."""
     body = draw(st.lists(coefficients, max_size=40))
     coeffs = [0] * draw(st.integers(0, 3)) + body + [0] * draw(st.integers(0, 3))
     if nonzero_lead:
