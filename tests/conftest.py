@@ -7,12 +7,14 @@ orders by the full composition table, q-series products and inverses by the
 schoolbook double loop and the term-by-term recurrence, partition numbers by
 the pentagonal-number recurrence, level-6 representatives by a windowed
 search over coprime pairs and level-6 equivalence by a bounded matrix
-search, point counts by a direct (x, y) scan.
+search, Kloosterman sums by one mpmath exponential per unit, point counts by
+a direct (x, y) scan.
 """
 
 import random
 from math import gcd, isqrt
 
+import mpmath as mp
 import pytest
 
 from classforms.quadforms import Form
@@ -381,6 +383,28 @@ def assert_same_series(got, want):
     assert (got.valuation, got.truncation_order) == (want.valuation, want.truncation_order)
     assert got.coeffs == want.coeffs
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+# --- exponential-sum Kloosterman oracle ----------------------------------------
+
+
+def kloosterman_by_exponentials(m, n, c, precision_digits):
+    """K(m, n; c) as one mpmath exponential per unit d mod c, at precision_digits."""
+    if c < 1:
+        raise ValueError("modulus must be positive")
+    if c == 1:
+        return mp.mpf(1)
+    with mp.workdps(precision_digits):
+        total = mp.mpc(0)
+        for d in range(1, c):
+            if gcd(d, c) != 1:
+                continue
+            dbar = pow(d, -1, c)
+            total += mp.expjpi(2 * ((m * dbar + n * d) % c) / mp.mpf(c))
+        re, im = total.real, total.imag
+        if abs(im) > 1e-10 * max(1.0, abs(re)):
+            raise ArithmeticError(f"K({m},{n};{c}) has stray imaginary part {im}")
+        return re
 
 
 # --- direct point-count oracle -------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from math import gcd, pi, sqrt
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from classforms import rademacher as rd
 from classforms.quadforms import class_number, enumerate_reduced, reduce as reduce_form
 from classforms.rademacher import PrecisionError, RademacherParams
 
-from conftest import gamma0_equivalent, level_rep_by_window_search
+from conftest import gamma0_equivalent, kloosterman_by_exponentials, level_rep_by_window_search
 
 
 # --- Kloosterman sums ---------------------------------------------------------
@@ -42,6 +43,59 @@ def test_kloosterman_symmetry_and_bound():
             assert abs(kmn) <= phi(c) + 1e-8
 
 
+def _phi(c):
+    return sum(1 for d in range(1, c + 1) if gcd(d, c) == 1)
+
+
+# zero arguments, negative m, and n sharing factors with many moduli
+_KLOOSTERMAN_PAIRS = [(0, 0), (0, 7), (5, 0), (1, 1), (-1, 3), (-2, 12), (3, -10), (-7, 30)]
+
+
+def test_kloosterman_matches_exponential_oracle():
+    def check(m, n, c, digits):
+        got = rd._kloosterman_mpf(m, n, c, digits)
+        want = kloosterman_by_exponentials(m, n, c, digits)
+        with mp.workdps(digits + 10):
+            assert abs(got - want) <= _phi(c) * mp.mpf(10) ** (2 - digits), (m, n, c, digits)
+
+    # every c <= 400 at 30 digits, with two of the pairs in turn per modulus
+    for c in range(1, 401):
+        for i in (c, c + 3):
+            check(*_KLOOSTERMAN_PAIRS[i % len(_KLOOSTERMAN_PAIRS)], c, 30)
+    # sampled c <= 1000 at 80 digits, the largest prime and a power of two among them
+    moduli = sorted(random.Random(20261018).sample(range(2, 1001), 10) + [512, 997])
+    for i, c in enumerate(moduli):
+        check(*_KLOOSTERMAN_PAIRS[i % len(_KLOOSTERMAN_PAIRS)], c, 80)
+
+
+def test_kloosterman_meets_its_error_bound():
+    # the table's stated bound is 10^-digits absolute, plus the final rounding
+    # to digits; the oracle at 10 more digits is far closer than that
+    def check(m, n, c, digits):
+        got = rd._kloosterman_mpf(m, n, c, digits)
+        want = kloosterman_by_exponentials(m, n, c, digits + 10)
+        with mp.workdps(digits + 10):
+            assert abs(got - want) <= (1 + abs(want)) * mp.mpf(10) ** -digits, (m, n, c, digits)
+
+    for c in range(1, 401):
+        check(*_KLOOSTERMAN_PAIRS[(c + 5) % len(_KLOOSTERMAN_PAIRS)], c, 30)
+    for i, c in enumerate((509, 768, 997)):
+        check(*_KLOOSTERMAN_PAIRS[i], c, 80)
+
+
+def test_kloosterman_twisted_multiplicativity():
+    # K(m, n; c1 c2) = K(m c2bar^2, n; c1) K(m c1bar^2, n; c2) for coprime c1, c2
+    for m, n in ((1, 1), (-1, 3), (2, 5), (-3, 4), (0, 6), (4, -9)):
+        for c1 in range(2, 15):
+            for c2 in range(c1 + 1, 200 // c1 + 1):
+                if gcd(c1, c2) != 1:
+                    continue
+                whole = rd.kloosterman(m, n, c1 * c2)
+                parts = (rd.kloosterman(m * pow(c2, -2, c1), n, c1)
+                         * rd.kloosterman(m * pow(c1, -2, c2), n, c2))
+                assert whole == pytest.approx(parts, abs=1e-9), (m, n, c1, c2)
+
+
 # --- Bessel kernels -----------------------------------------------------------
 
 
@@ -51,6 +105,10 @@ def test_bessel_against_mpmath_oracle():
         for nu, x in [(13, 0.5), (13, 7.3), (13, 62.8), (11, 1.0), (11, 30.0), (1, 0.1)]:
             assert rd.bessel_I(nu, x, 40) == pytest.approx(
                 float(mp.besseli(nu, x)), rel=1e-12)
+            assert rd.bessel_J(nu, x, 40) == pytest.approx(
+                float(mp.besselj(nu, x)), rel=1e-12)
+        # large arguments, where the alternating series cancels by ~x / ln 10 digits
+        for nu, x in [(11, 100.0), (11, 200.0), (11, 1000.0)]:
             assert rd.bessel_J(nu, x, 40) == pytest.approx(
                 float(mp.besselj(nu, x)), rel=1e-12)
 
@@ -110,6 +168,13 @@ def test_tau_calibration_and_stability():
         value = rd.rademacher_tau(n, params)
         exact = d.coefficient(n)
         assert abs(value - exact) / abs(exact) < 0.01, n
+
+
+def test_tau_at_large_index():
+    # J_11 arguments reach 4 pi sqrt(100) ~ 126, far past the unguarded series' range
+    value = rd.rademacher_tau(100, RademacherParams(cmax=200))
+    exact = qs.delta_series(101).coefficient(100)
+    assert abs(value - exact) / abs(exact) < 1e-9
 
 
 def test_rd_head_term():
