@@ -4,12 +4,11 @@ The c-sums here are truncated at params.cmax and evaluated with mpmath at a
 configurable working precision.  Each Kloosterman sum is exact integer
 arithmetic up to one rounded root of unity per modulus: the residues are
 counted into bins mod c and weighted by a fixed-point cosine table whose
-bit count follows from a stated error bound.  The ascending Bessel series
-carry guard digits for their cancellation; the alternating J series needs
-about x / ln 10 more than I.  The weight-12 sum for the cusp-form
-coefficients converges only conditionally, so its partial sums are tail-
-averaged; the positive-weight kernels (I-Bessel) converge absolutely and
-need no such treatment.
+bit count follows from a stated error bound.  The Bessel kernels are
+mpmath's I and J at the same working precision.  The weight-12 sum for the
+cusp-form coefficients converges only conditionally, so its partial sums
+are tail-averaged; the positive-weight kernels (I-Bessel) converge
+absolutely and need no such treatment.
 
 The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
@@ -31,6 +30,10 @@ from . import qseries
 _LN2 = log(2.0)
 
 
+# working-precision floor of the sums and of trace_singular_moduli
+_MIN_DIGITS = 15
+
+
 class PrecisionError(ArithmeticError):
     """Requested tolerance cannot be met; carries the achieved residual."""
 
@@ -43,8 +46,8 @@ class RademacherParams:
     def __post_init__(self):
         if self.cmax < 1:
             raise ValueError("cmax must be at least 1")
-        if self.precision_digits < 15:
-            raise ValueError("precision_digits must be at least 15")
+        if self.precision_digits < _MIN_DIGITS:
+            raise ValueError(f"precision_digits must be at least {_MIN_DIGITS}")
 
 
 def kloosterman(m: int, n: int, c: int, precision_digits: int = 30) -> float:
@@ -103,55 +106,40 @@ def _kloosterman_mpf(m: int, n: int, c: int, precision_digits: int):
 
 
 def bessel_I(order: int, x, precision_digits: int = 30) -> float:
-    """Modified Bessel I_order(x) by the ascending series, x > 0."""
-    return float(_bessel_mpf(order, x, precision_digits, signed=False))
+    """Modified Bessel I_order(x), x > 0, from mpmath at precision_digits."""
+    with mp.workdps(precision_digits):
+        return float(_bessel_mpf(mp.besseli, order, x))
 
 
 def bessel_J(order: int, x, precision_digits: int = 30) -> float:
-    """Bessel J_order(x) by the (alternating) ascending series, x > 0."""
-    return float(_bessel_mpf(order, x, precision_digits, signed=True))
+    """Bessel J_order(x), x > 0, from mpmath at precision_digits."""
+    with mp.workdps(precision_digits):
+        return float(_bessel_mpf(mp.besselj, order, x))
 
 
-def _bessel_mpf(nu: int, x, precision_digits: int, signed: bool):
+def _bessel_mpf(bessel, nu: int, x):
+    """bessel(nu, x), for mp.besseli or mp.besselj, at the working precision."""
     if nu < 0:
         raise ValueError("order must be a nonnegative integer")
     if x <= 0:
         raise ValueError("argument must be positive")
     if x > 1e5:
         raise OverflowError("argument exceeds the configured evaluation range")
-    # the alternating series peaks near e^x / sqrt(2 pi x) before it cancels
-    # to J(x), so it carries ceil(x / ln 10) more digits than I needs
-    guard = ceil(float(x) / log(10.0)) if signed else 0
-    with mp.workdps(precision_digits + 10 + guard):
-        half = mp.mpf(x) / 2
-        term = half**nu / mp.factorial(nu)
-        total = term
-        k = 1
-        tol = mp.mpf(10) ** (-(precision_digits + 5))
-        while True:
-            ratio = half * half / (k * (k + nu))
-            term = term * ratio
-            total += -term if (signed and k % 2) else term
-            # once the terms decay geometrically the tail is below the last term
-            if ratio < mp.mpf("0.5") and abs(term) < tol * max(mp.mpf(1), abs(total)):
-                break
-            k += 1
-            if k > 10_000_000:
-                raise ArithmeticError("Bessel series failed to converge")
-        return total
+    return bessel(nu, x)
 
 
-def _kloosterman_bessel_partials(m: int, n: int, nu: int, signed: bool, prefactor, arg,
+def _kloosterman_bessel_partials(m: int, n: int, nu: int, bessel, prefactor, arg,
                                  params: RademacherParams):
-    """prefactor * sum_{c<=C} K(m,n;c)/c I_nu(arg/c) (J_nu when signed), C = 1..cmax.
+    """prefactor * sum_{c<=C} K(m,n;c)/c bessel(nu, arg/c), C = 1..cmax.
 
-    mpf values; the caller holds the working precision.
+    bessel is mp.besseli or mp.besselj.  mpf values; the caller holds the
+    working precision, at which each Bessel value is evaluated.
     """
     partials = []
     acc = mp.mpf(0)
     for c in range(1, params.cmax + 1):
         k = _kloosterman_mpf(m, n, c, params.precision_digits)
-        acc += k / c * _bessel_mpf(nu, arg / c, params.precision_digits, signed=signed)
+        acc += k / c * _bessel_mpf(bessel, nu, arg / c)
         partials.append(prefactor * acc)
     return partials
 
@@ -167,7 +155,7 @@ def rademacher_inv_delta_partials(n: int, params: RademacherParams):
     with mp.workdps(params.precision_digits):
         prefactor = 2 * mp.pi / mp.mpf(n) ** mp.mpf("6.5")
         arg = 4 * mp.pi * mp.sqrt(n)
-        return _kloosterman_bessel_partials(-1, n, 13, False, prefactor, arg, params)
+        return _kloosterman_bessel_partials(-1, n, 13, mp.besseli, prefactor, arg, params)
 
 
 def rademacher_inv_delta(n: int, params: RademacherParams = RademacherParams()) -> float:
@@ -183,7 +171,7 @@ def rademacher_tau_partials(n: int, params: RademacherParams):
     with mp.workdps(params.precision_digits):
         prefactor = 2 * mp.pi * mp.mpf(n) ** mp.mpf("5.5")
         arg = 4 * mp.pi * mp.sqrt(n)
-        partials = _kloosterman_bessel_partials(1, n, 11, True, prefactor, arg, params)
+        partials = _kloosterman_bessel_partials(1, n, 11, mp.besselj, prefactor, arg, params)
     return [float(x) for x in partials]
 
 
@@ -213,11 +201,9 @@ def _beta_cached(cmax: int, precision_digits: int) -> float:
     return calibrate_beta(RademacherParams(cmax, precision_digits))
 
 
-def rademacher_tau(n: int, params: RademacherParams = RademacherParams(cmax=200),
-                   beta: float | None = None) -> float:
+def rademacher_tau(n: int, params: RademacherParams = RademacherParams(cmax=200)) -> float:
     """Tail-averaged weight-12 Rademacher sum for tau(n), n >= 2."""
-    if beta is None:
-        beta = _beta_cached(params.cmax, params.precision_digits)
+    beta = _beta_cached(params.cmax, params.precision_digits)
     return _tail_average(rademacher_tau_partials(n, params)) / beta
 
 
@@ -228,7 +214,7 @@ def rd_partials(d: int, n: int, params: RademacherParams):
     with mp.workdps(params.precision_digits):
         prefactor = 2 * mp.pi * mp.sqrt(mp.mpf(d) / n)
         arg = 4 * mp.pi * mp.sqrt(mp.mpf(d) * n)
-        partials = _kloosterman_bessel_partials(-d, n, 1, False, prefactor, arg, params)
+        partials = _kloosterman_bessel_partials(-d, n, 1, mp.besseli, prefactor, arg, params)
     return [float(x) for x in partials]
 
 
@@ -397,8 +383,8 @@ def trace_singular_moduli(n: int, order: int | None = None,
     """
     if order is not None and order < 1:
         raise ValueError("order must be at least 1")
-    if precision_digits is not None and precision_digits < 15:
-        raise ValueError("precision_digits must be at least 15")
+    if precision_digits is not None and precision_digits < _MIN_DIGITS:
+        raise ValueError(f"precision_digits must be at least {_MIN_DIGITS}")
     forms = enumerate_QD(n)
     qabs_max = max(_qabs(f) for f in forms)
     if order is None:

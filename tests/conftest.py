@@ -7,12 +7,12 @@ orders by the full composition table, q-series products and inverses by the
 schoolbook double loop and the term-by-term recurrence, partition numbers by
 the pentagonal-number recurrence, level-6 representatives by a windowed
 search over coprime pairs and level-6 equivalence by a bounded matrix
-search, Kloosterman sums by one mpmath exponential per unit, point counts by
-a direct (x, y) scan.
+search, Kloosterman sums by one mpmath exponential per unit, Bessel I and J
+by their ascending series, point counts by a direct (x, y) scan.
 """
 
 import random
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt, log
 
 import mpmath as mp
 import pytest
@@ -405,6 +405,35 @@ def kloosterman_by_exponentials(m, n, c, precision_digits):
         if abs(im) > 1e-10 * max(1.0, abs(re)):
             raise ArithmeticError(f"K({m},{n};{c}) has stray imaginary part {im}")
         return re
+
+
+# --- ascending-series Bessel oracle ---------------------------------------------
+
+
+def bessel_by_ascending_series(nu, x, precision_digits, signed):
+    """I_nu(x), or J_nu(x) when signed, by the ascending series, x > 0.
+
+    The route rademacher used before it called mpmath, kept as the
+    reference.  Sums until a term is below 10^-(precision_digits + 5) of
+    the total; an mpf at the raised working precision.
+    """
+    # the alternating series peaks near e^x / sqrt(2 pi x) before it cancels
+    # to J(x), so it carries ceil(x / ln 10) more digits than I needs
+    guard = ceil(float(x) / log(10.0)) if signed else 0
+    with mp.workdps(precision_digits + 10 + guard):
+        half = mp.mpf(x) / 2
+        term = half**nu / mp.factorial(nu)
+        total = term
+        k = 1
+        tol = mp.mpf(10) ** (-(precision_digits + 5))
+        while True:
+            ratio = half * half / (k * (k + nu))
+            term = term * ratio
+            total += -term if (signed and k % 2) else term
+            # once the terms decay geometrically the tail is below the last term
+            if ratio < mp.mpf("0.5") and abs(term) < tol * max(mp.mpf(1), abs(total)):
+                return total
+            k += 1
 
 
 # --- direct point-count oracle -------------------------------------------------

@@ -242,9 +242,14 @@ def test_byte_identical_across_processes():
     import subprocess
     import sys as _sys
 
+    import classforms
+
+    # the child imports the same classforms as this process, installed or not
+    src = str(Path(classforms.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [_sys.executable, "-m", "classforms", "classgroup", "-84"],
             capture_output=True, env=env, check=True)

@@ -9,7 +9,8 @@ from classforms import rademacher as rd
 from classforms.quadforms import class_number, enumerate_reduced, reduce as reduce_form
 from classforms.rademacher import PrecisionError, RademacherParams
 
-from conftest import gamma0_equivalent, kloosterman_by_exponentials, level_rep_by_window_search
+from conftest import (bessel_by_ascending_series, gamma0_equivalent, kloosterman_by_exponentials,
+                      level_rep_by_window_search)
 
 
 # --- Kloosterman sums ---------------------------------------------------------
@@ -111,6 +112,39 @@ def test_bessel_against_mpmath_oracle():
         for nu, x in [(11, 100.0), (11, 200.0), (11, 1000.0)]:
             assert rd.bessel_J(nu, x, 40) == pytest.approx(
                 float(mp.besselj(nu, x)), rel=1e-12)
+
+
+def test_bessel_matches_ascending_series_oracle():
+    # the (nu, x) cases above, then x = 4 pi sqrt(dn)/c as the sums reach it
+    small = [(13, 0.5), (13, 7.3), (13, 62.8), (11, 1.0), (11, 30.0), (1, 0.1)]
+    reached = [(nu, 4 * mp.pi * mp.sqrt(dn) / c)
+               for nu, dns in ((1, (1, 4, 12, 15)), (11, (2, 3, 6, 100)), (13, (1, 5, 10)))
+               for dn in dns for c in (1, 2, 3, 7, 40, 199, 400)]
+    kernels = [(mp.besseli, rd.bessel_I, False), (mp.besselj, rd.bessel_J, True)]
+    cases = [(nu, x, kernel) for nu, x in small + reached for kernel in kernels]
+    cases += [(11, x, kernels[1]) for x in (100.0, 200.0, 1000.0)]
+    for digits in (30, 40):
+        with mp.workdps(digits):
+            for nu, x, (bessel, public, signed) in cases:
+                want = bessel_by_ascending_series(nu, x, digits, signed)
+                got = rd._bessel_mpf(bessel, nu, x)
+                assert abs(got - want) <= mp.mpf(10) ** (2 - digits) * max(1, abs(want)), (nu, x)
+                assert public(nu, x, digits) == pytest.approx(float(want), rel=1e-15)
+
+
+def test_bessel_recurrences_at_large_arguments():
+    # up to the 1e5 cap, where the ascending series would take hours
+    digits = 30
+    with mp.workdps(digits):
+        tol = mp.mpf(10) ** (2 - digits)
+        for x in (mp.mpf(20000), mp.mpf(99999)):
+            j10, j11, j12 = (rd._bessel_mpf(mp.besselj, nu, x) for nu in (10, 11, 12))
+            assert abs(j10 + j12 - 22 / x * j11) <= tol * (abs(j10) + abs(j12))
+            # leading asymptotics: J_11^2 + J_12^2 ~ 2 / (pi x), I_0 ~ e^x (1 + 1/8x) / sqrt(2 pi x)
+            assert abs((j11**2 + j12**2) * mp.pi * x / 2 - 1) < 1e-3
+            i0, i1, i2 = (rd._bessel_mpf(mp.besseli, nu, x) for nu in (0, 1, 2))
+            assert abs(i0 - i2 - 2 / x * i1) <= tol * (i0 + i2)
+            assert abs(i0 * mp.sqrt(2 * mp.pi * x) / mp.exp(x) / (1 + 1 / (8 * x)) - 1) < 1e-9
 
 
 def test_bessel_I_positive_and_increasing():
