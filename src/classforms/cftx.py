@@ -9,20 +9,20 @@ construction.
 
 P(m), the number of independent polar terms at index m, has a closed form
 mixing class numbers, a square-divisor extremum and a sawtooth; its
-independent oracle is the direct lattice-point count, and the two are held
-to exact equality.  figure_data streams the normalized excess
-(P - m^2/12 - 5m/8)/sqrt(m) for plotting.
+independent oracle is the direct lattice-point count.  polar_counts is the
+one scan over m: it evaluates the closed form from the bulk class-number and
+smallest-prime-factor tables and holds it to exact equality with the direct
+count, so every emitter (the J-versus-P table and the figure data behind the
+scatter, histogram and CDF) reads cross-checked values.  figure_data streams
+the normalized excess (P - m^2/12 - 5m/8)/sqrt(m) for plotting.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
 import numpy as np
 
 from . import qseries, tables
-from .arith import factorization
-from .quadforms import class_number
 
 
 def extremal_partition_function(k: int, order: int = 10) -> qseries.QSeries:
@@ -117,28 +117,29 @@ def sawtooth(x) -> Fraction:
     return x - Fraction(ceil(x) + floor(x), 2)
 
 
-def polar_count_formula(m: int, h_table=None, spf=None) -> int:
+def polar_count_formula(m: int, h_table, spf) -> int:
     """Closed form for the number of independent polar terms at index m.
 
     m^2/12 + 5m/8 + (1/4) sum_{d | 4m} h(d) - (1/2) floor(b/2)
     - (1/2) ((m/4)) + 1/24, where h(d) is the class number at discriminant
     -d with h(3) = 1/3 and h(4) = 1/2, d ranging over all divisors of 4m
     (non-discriminant d contribute 0), and b is the largest integer with
-    b^2 | m.  Evaluated in units of 1/24 so integrality is an exact check;
-    a non-integer total raises with all sub-terms attached.
+    b^2 | m.  h_table and spf are tables.class_number_table and
+    tables.spf_table reaching at least 4m.  Evaluated in units of 1/24 so
+    integrality is an exact check; a non-integer total raises with all
+    sub-terms attached.
     """
     if m < 1:
         raise ValueError("index must be positive")
     six_h = 0  # 6 * sum of h(d)
-    fact = tables.factorize(4 * m, spf) if spf is not None else factorization(4 * m)
-    divs = tables.divisors_from_factorization(fact)
+    divs = tables.divisors_from_factorization(tables.factorize(4 * m, spf))
     for d in divs:
         if d == 3:
             six_h += 2
         elif d == 4:
             six_h += 3
         elif d % 4 in (0, 3):
-            six_h += 6 * (int(h_table[d]) if h_table is not None else class_number(-d))
+            six_h += 6 * int(h_table[d])
     b = max(d for d in divs if m % (d * d) == 0)
     saw24 = 12 * sawtooth(Fraction(m, 4))  # in units of 1/24: one of 0, +-3
     total24 = 2 * m * m + 15 * m + six_h - 12 * (b // 2) - int(saw24) + 1
@@ -151,40 +152,15 @@ def polar_count_formula(m: int, h_table=None, spf=None) -> int:
 
 
 def polar_count_bruteforce(m: int) -> int:
-    """#{(n, l) : n >= 0, 1 <= l <= m, 4mn - l^2 < 0} = sum_l ceil(l^2 / 4m)."""
+    """#{(n, l) : n >= 0, 1 <= l <= m, 4mn - l^2 < 0} = sum_l ceil(l^2 / 4m).
+
+    One int64 expression over l = 1..m, sharing nothing with the closed form.
+    The largest intermediate, m^2 + 4m - 1, is exact in int64 for m < 3*10^9.
+    """
     if m < 1:
         raise ValueError("index must be positive")
-    return sum((l * l + 4 * m - 1) // (4 * m) for l in range(1, m + 1))
-
-
-@dataclass(frozen=True)
-class PolarCountReport:
-    """Both routes to the polar count at one index, cross-checked on build."""
-
-    m: int
-    J: int
-    P_formula: int
-    P_bruteforce: int
-
-    def __post_init__(self):
-        if self.P_formula != self.P_bruteforce:
-            raise ArithmeticError(
-                f"polar counts disagree at m={self.m}: "
-                f"{self.P_formula} vs {self.P_bruteforce}")
-
-    @property
-    def excess(self) -> int:
-        return self.P_formula - self.J
-
-    @property
-    def normalized_excess(self) -> float:
-        return normalized_excess(self.m, self.P_formula)
-
-
-def polar_report(m: int) -> PolarCountReport:
-    """Formula and direct count side by side; raises if they disagree."""
-    return PolarCountReport(
-        m, jacobi_dim(m), polar_count_formula(m), polar_count_bruteforce(m))
+    l = np.arange(1, m + 1, dtype=np.int64)
+    return int(((l * l + (4 * m - 1)) // (4 * m)).sum())
 
 
 def normalized_excess(m: int, P: int) -> float:
@@ -196,28 +172,38 @@ _CROSSCHECK_UPTO = 2000
 _CROSSCHECK_STRIDE = 997
 
 
-def figure_data(mmax: int):
-    """(m, normalized_excess) for m = 1..mmax, with the cross-check pipeline.
+def polar_counts(mmax: int) -> list:
+    """[P(1), ..., P(mmax)] from the closed form, cross-checked: the one polar scan.
 
     The formula value is verified against the direct lattice count for every
     m up to _CROSSCHECK_UPTO and at every multiple of _CROSSCHECK_STRIDE
     beyond (the direct count is O(m), so a full sweep at 10^5 would dominate
-    the runtime); every emitted value has also passed the integrality
-    assertion inside polar_count_formula.
+    the runtime); a disagreement raises ArithmeticError.  Every value has
+    also passed the integrality assertion inside polar_count_formula.
     """
     if mmax < 1:
         raise ValueError("mmax must be positive")
     h = tables.class_number_table(4 * mmax)
     spf = tables.spf_table(4 * mmax)
-    out = np.empty(mmax, dtype=float)
+    counts = []
     for m in range(1, mmax + 1):
-        P = polar_count_formula(m, h_table=h, spf=spf)
+        P = polar_count_formula(m, h, spf)
         if m <= _CROSSCHECK_UPTO or m % _CROSSCHECK_STRIDE == 0:
             bf = polar_count_bruteforce(m)
             if P != bf:
                 raise ArithmeticError(f"formula {P} != direct count {bf} at m = {m}")
-        out[m - 1] = normalized_excess(m, P)
-    return out
+        counts.append(P)
+    return counts
+
+
+def figure_data(mmax: int) -> np.ndarray:
+    """normalized_excess(m, P(m)) for m = 1..mmax.
+
+    P comes from polar_counts, the same cross-checked scan the table reads,
+    so the scatter, histogram and CDF emitters are checked like the table.
+    """
+    return np.array([normalized_excess(m, P) for m, P in enumerate(polar_counts(mmax), 1)],
+                    dtype=float)
 
 
 def histogram(values: np.ndarray):
@@ -255,17 +241,15 @@ def extremal_n2_report(mmax: int):
     A flagged m means counting alone cannot rule the extremal elliptic genus
     out; the known finite candidate list rests on a finer linear-algebra
     criterion, so the flag set is reported next to it, never asserted equal.
+    P comes from polar_counts, cross-checked against the direct count.
     Beyond m = 100 the deficit P - J is asserted positive (it grows
     linearly).
     """
     if mmax < 13:
         raise ValueError("report range must reach at least 13")
-    h_table = tables.class_number_table(4 * mmax)
-    spf = tables.spf_table(4 * mmax)
     rows = []
-    for m in range(1, mmax + 1):
+    for m, P in enumerate(polar_counts(mmax), 1):
         J = jacobi_dim(m)
-        P = polar_count_formula(m, h_table=h_table, spf=spf)
         if m >= 100 and P <= J:
             raise ArithmeticError(f"deficit P - J unexpectedly nonpositive at m = {m}")
         rows.append({"m": m, "J": J, "P": P, "J_minus_P": J - P, "flagged": J >= P})

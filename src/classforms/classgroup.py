@@ -239,9 +239,9 @@ def cl_statistics(p: int, N: int):
     """(count, proportion) of fundamental -N < D < 0 with p not dividing h(D)."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
+    if N <= 3:
+        raise ValueError(f"N = {N} leaves no fundamental discriminant -N < D < 0: N must exceed 3")
     limit = N - 1
-    if limit < 3:
-        return 0, 0.0
     h = tables.class_number_table(limit)
     fund = tables.fundamental_mask(limit)
     total = int(fund.sum())

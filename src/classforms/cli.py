@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="negate the discriminant argument (lets you avoid a leading dash)")
     top.add_argument("--timing", action="store_true",
                      help="fill wall_time_ms (off by default to keep output byte-identical)")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="ignored; accepted so older invocations keep working")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classgroup", help="reduced forms, structure, bounds at D")

@@ -79,30 +79,30 @@ def test_sawtooth_is_odd_and_periodic(x):
 
 def test_polar_count_m1_term_by_term():
     # 1/12 + 5/8 + (1/4) h-sum + 0 + 1/8 + 1/24 with h-sum contribution 1/2
-    assert cftx.polar_count_formula(1) == 1
+    assert cftx.polar_counts(1) == [1]
     assert cftx.polar_count_bruteforce(1) == 1
 
 
 def test_polar_count_examples():
     assert cftx.polar_count_bruteforce(2) == 2
     assert cftx.polar_count_bruteforce(4) == 4
-    assert cftx.polar_count_formula(2) == 2
-    assert cftx.polar_count_formula(1000) == cftx.polar_count_bruteforce(1000)
+    assert cftx.polar_counts(2) == [1, 2]
+    assert cftx.polar_counts(1000)[999] == cftx.polar_count_bruteforce(1000)
 
 
-def test_polar_report_cross_checks():
-    rep = cftx.polar_report(12)
-    assert rep.P_formula == rep.P_bruteforce
-    assert rep.excess == rep.P_formula - cftx.jacobi_dim(12)
-    assert rep.normalized_excess == pytest.approx(
-        (rep.P_formula - 12 * 12 / 12 - 5 * 12 / 8) / 12**0.5)
-    with pytest.raises(ArithmeticError):
-        cftx.PolarCountReport(3, 2, 5, 4)
+def test_polar_count_bruteforce_is_the_lattice_count():
+    # the int64 expression against the pairs (n, l) counted one by one
+    for m in range(1, 61):
+        pairs = sum(1 for l in range(1, m + 1) for n in range(l * l + 1)
+                    if 4 * m * n - l * l < 0)
+        assert cftx.polar_count_bruteforce(m) == pairs, m
 
 
 def test_polar_formula_matches_bruteforce_range():
+    counts = cftx.polar_counts(600)
+    assert len(counts) == 600
     for m in range(1, 601):
-        assert cftx.polar_count_formula(m) == cftx.polar_count_bruteforce(m), m
+        assert counts[m - 1] == cftx.polar_count_bruteforce(m), m
 
 
 def test_extremal_n2_report():
@@ -131,12 +131,11 @@ def test_figure_data_crosscheck_trips_on_bad_value(monkeypatch):
     # wreck the formula on one index and watch the pipeline object
     real = cftx.polar_count_formula
 
-    def tampered(m, h_table=None, spf=None):
-        value = real(m, h_table=h_table, spf=spf)
-        return value + (m == 37)
+    def tampered(m, h_table, spf):
+        return real(m, h_table, spf) + (m == 37)
 
     monkeypatch.setattr(cftx, "polar_count_formula", tampered)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="at m = 37"):
         cftx.figure_data(100)
 
 

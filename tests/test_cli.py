@@ -184,12 +184,32 @@ def test_cft_polar_histogram_and_cdf(capsys):
     assert len(out) == 301
 
 
-def test_cft_polar_parallel_matches_serial(capsys):
-    cli.main(["cft", "polar", "--mmax", "200", "--emit", "figure-data"])
-    serial = capsys.readouterr().out
-    cli.main(["--jobs", "2", "cft", "polar", "--mmax", "200", "--emit", "figure-data"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+@pytest.mark.parametrize("argv, sha256", [
+    (["cft", "polar", "--mmax", "2000"],
+     "609ec58819db7571e6ed46e73770a89f3da3cc674c90731d6d09de02e44e5530"),
+    (["cft", "polar", "--mmax", "2000", "--emit", "figure-data"],
+     "c9cd65fd69906caaf57c6d3a8ef9d7c485340caf9e6e56c4aac65163d67745ad"),
+])
+def test_polar_outputs_pinned(capsys, argv, sha256):
+    # full stdout recorded while the table and the figure data had separate scans
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_cft_polar_table_crosscheck_trips_on_bad_value(capsys, monkeypatch):
+    from classforms import cftx
+
+    real = cftx.polar_count_formula
+
+    def tampered(m, h_table, spf):
+        return real(m, h_table, spf) + (m == 37)
+
+    monkeypatch.setattr(cftx, "polar_count_formula", tampered)
+    rc = cli.main(["cft", "polar", "--mmax", "200", "--emit", "table"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "direct count 138 at m = 37" in captured.err
 
 
 def test_rademacher_tau_subcommand(capsys):
@@ -293,6 +313,9 @@ def test_usage_errors_exit_2(capsys):
         (["singular-trace", "--n", "1", "--order", "0"], "order"),
         (["singular-trace", "--n", "1", "--precision", "0"], "precision"),
         (["cft", "zk", "--k", "1", "--order", "1", "--cmax", "10"], "order"),
+        # no fundamental discriminant in -N < D < 0: the proportion would be 0/0
+        (["stats", "cohen-lenstra", "--p", "3", "--N", "0"], "N = 0"),
+        (["stats", "cohen-lenstra", "--p", "3", "--N", "3"], "N = 3"),
     ]:
         assert cli.main(argv) == 2, argv
         assert name in capsys.readouterr().err, argv
