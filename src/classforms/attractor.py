@@ -19,7 +19,7 @@ import mpmath as mp
 
 from . import qseries
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
-from .rademacher import PrecisionError, _auto_order, _qabs, cm_root, q_expansion_sums
+from .rademacher import PrecisionError, _auto_order, _qabs, cm_root, q_expansion_sum
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,10 @@ def hilbert_class_polynomial(D: int):
     about exp(pi sqrt|D| / a_f), and no coefficient exceeds 2^h times the
     product of the max(1, |j(tau_f)|) (Enge, Math. Comp. 2009), so the budget is
     15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + _EXTRA_DIGITS.
-    The truncation order of j is sized from the largest |q| (the form with
-    the largest a) for a tail below 10^-digits, and every root's tail is
-    checked against that bound before its sum is taken.
+    The truncation order of j is the least one at which the level-1 growth
+    model puts the tail at the largest |q| (the form with the largest a)
+    below 10^-digits, and every root's tail is checked against that bound
+    before its fixed-point sum is taken.
     """
     if not is_fundamental(D):
         raise ValueError("class polynomials are computed for fundamental discriminants")
@@ -273,11 +274,11 @@ def hilbert_class_polynomial(D: int):
     h = len(forms)
     log10_size = sum(pi * (-D) ** 0.5 / (f.a * log(10)) for f in forms) + h * log10(2)
     digits = 15 + ceil(log10_size) + _EXTRA_DIGITS
-    order = _auto_order(_qabs(forms[-1]), tail_log10=-digits)
+    order = _auto_order(_qabs(forms[-1]), -digits, 1)
     jq = qseries.j_series(order)
     jc = [int(jq.coefficient(k)) for k in range(-1, order)]
     with mp.workdps(digits):
-        roots = [q_expansion_sums(jc, cm_root(f, digits), tail_log10=-digits)[0] for f in forms]
+        roots = [q_expansion_sum(jc, cm_root(f, digits), -digits) for f in forms]
         # expand prod (X - root) with complex arithmetic, then round
         coeffs = [mp.mpc(1)]
         for r in roots:

@@ -14,8 +14,9 @@ The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
 of forms of discriminant 1 - 24n.  That trace is an integer multiple of the
 partition number p(n), which is the acceptance check for all of it.  Its
-CM-point helpers (the root of a form, |q| there, and the one tail-guarded
-q-expansion sum) also evaluate j for the class polynomials in attractor.
+CM-point helpers (the root of a form, |q| there, the least truncation order
+and the one tail-guarded q-expansion sum, a fixed-point Horner loop over
+Gaussian integers) also evaluate j for the class polynomials in attractor.
 """
 
 from dataclasses import dataclass
@@ -256,17 +257,17 @@ def _g2_coefficients(order: int):
 def eval_G(tau, order: int = 400, precision_digits: int = 40):
     """Value of G at tau (upper half-plane) from its q-expansion."""
     with mp.workdps(precision_digits):
-        g2_val, _ = q_expansion_sums(_g2_coefficients(order), tau)
-        return complex(g2_val / 2)
+        return complex(q_expansion_sum(_g2_coefficients(order), tau) / 2)
 
 
 def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
     """The weight-0 completion at tau: -(sum of m g_m q^m) - G(tau)/(2 pi Im tau).
 
-    Real when the class of tau is its own inverse; a residual imaginary part
-    above 1e-8 relative raises PrecisionError.  Values at a general CM point
-    come in conjugate pairs (use eval_P_complex), and only their sum over a
-    full discriminant is real.
+    The weighted sum is a second q-expansion sum, over the coefficients
+    m g_m.  Real when the class of tau is its own inverse; a residual
+    imaginary part above 1e-8 relative raises PrecisionError.  Values at a
+    general CM point come in conjugate pairs (use eval_P_complex), and only
+    their sum over a full discriminant is real.
     """
     val = eval_P_complex(tau, order, precision_digits)
     re, im = val.real, val.imag
@@ -277,35 +278,45 @@ def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
 
 def eval_P_complex(tau, order: int = 400, precision_digits: int = 40):
     """The weight-0 completion without the realness assertion."""
+    g2 = _g2_coefficients(order)
     with mp.workdps(precision_digits):
-        g2_val, dg2_val = q_expansion_sums(_g2_coefficients(order), tau)
-        g_val, dg_val = g2_val / 2, dg2_val / 2
+        g_val = q_expansion_sum(g2, tau) / 2
+        dg_val = q_expansion_sum([m * c for m, c in enumerate(g2, start=-1)], tau) / 2
         total = -dg_val - g_val / (2 * mp.pi * mp.mpc(tau).imag)
         return complex(total)
 
 
-def q_expansion_sums(coeffs, tau, tail_log10: float = -9.0):
-    """(sum c_m q^m, sum m c_m q^m) at q = exp(2 pi i tau), c_m = coeffs[m + 1], m >= -1.
+def q_expansion_sum(coeffs, tau, tail_log10: float = -9.0):
+    """sum c_m q^m at q = exp(2 pi i tau), c_m = coeffs[m + 1], m >= -1.
 
-    The one q-expansion loop at CM points: G and P sum the coefficients of
-    2G with it, class polynomials those of j.  mpc values at the caller's
-    working precision; raises PrecisionError when the truncation tail is not
-    below 10^tail_log10.
+    The one q-expansion sum at CM points: G and P sum the coefficients of
+    2G (and, for P, m times them) with it, class polynomials those of j.
+    Raises PrecisionError when the truncation tail is not below
+    10^tail_log10; returns an mpc at the caller's working precision.
+
+    Fixed-point Horner over Gaussian integers (Enge, Math. Comp. 2009):
+    with B = working bits + bit_length(len(coeffs)) + 16, q is rounded once
+    to the integer pair (Re q, Im q) * 2^B, and S <- c_m 2^B + ((S q) >> B)
+    runs from the top coefficient down to m = 0; c_{-1}/q is added last.
+    Each step floors both parts, an error under sqrt(2) units of 2^-B that
+    later steps multiply by |q|, so the floors add up to less than
+    sqrt(2) 2^-B / (1 - |q|).  Rounding q moves the sum by at most
+    2^-B sum m |c_m| |q|^(m-1), which the working precision, sized by the
+    caller for the largest term, has to cover.
     """
     if not _im_positive(tau):
         raise ValueError("tau must lie in the upper half-plane")
-    t = mp.mpc(tau)
-    q = mp.expjpi(2 * t)
+    bits = mp.mp.prec + len(coeffs).bit_length() + 16
+    with mp.workprec(bits + 10):
+        q = mp.expjpi(2 * mp.mpc(tau))
+        q_re = int(mp.nint(mp.ldexp(q.real, bits)))
+        q_im = int(mp.nint(mp.ldexp(q.imag, bits)))
     _check_tail(coeffs, abs(q), tail_log10)
-    qpow = 1 / q
-    total = mp.mpc(0)
-    dtotal = mp.mpc(0)
-    for m, c in enumerate(coeffs, start=-1):
-        if c:
-            total += c * qpow
-            dtotal += m * c * qpow
-        qpow *= q
-    return total, dtotal
+    s_re = s_im = 0
+    for c in reversed(coeffs[1:]):
+        s_re, s_im = ((c << bits) + ((s_re * q_re - s_im * q_im) >> bits),
+                      (s_re * q_im + s_im * q_re) >> bits)
+    return mp.mpc(mp.ldexp(s_re, -bits), mp.ldexp(s_im, -bits)) + coeffs[0] / q
 
 
 def _check_tail(coeffs, qabs, tail_log10: float):
@@ -373,9 +384,10 @@ def trace_singular_moduli(n: int, order: int | None = None,
                           precision_digits: int | None = None) -> float:
     """Sum of P over the level-6 CM points of discriminant 1 - 24n.
 
-    Converges to (24n - 1) p(n) as order and precision grow; the defaults
-    are chosen adaptively from the lowest CM point so the tail sits below
-    1e-10.  Individual summands are complex (conjugate-paired across inverse
+    Converges to (24n - 1) p(n) as order and precision grow.  The default
+    order is the least one at which the level-6 growth model puts the tail
+    at the lowest CM point (largest |q|) below 1e-14, and the default digits
+    cover the largest term there.  Individual summands are complex (conjugate-paired across inverse
     classes); only the full sum is real, and that realness is asserted to
     1e-8.  PrecisionError carries the residual when the tolerance is missed.
     An explicit order must be at least 1 and an explicit precision at least
@@ -388,7 +400,7 @@ def trace_singular_moduli(n: int, order: int | None = None,
     forms = enumerate_QD(n)
     qabs_max = max(_qabs(f) for f in forms)
     if order is None:
-        order = _auto_order(qabs_max)
+        order = _auto_order(qabs_max, -14.0, 6)
     g2 = _g2_coefficients(order)
     if precision_digits is None:
         # largest intermediate term sets the cancellation budget
@@ -405,12 +417,21 @@ def trace_singular_moduli(n: int, order: int | None = None,
     return total.real
 
 
-def _auto_order(qabs: float, tail_log10: float = -14.0) -> int:
+# largest truncation order _auto_order returns
+_MAX_ORDER = 40000
+
+
+def _auto_order(qabs: float, tail_log10: float, level: int) -> int:
+    """Least N with 4 pi sqrt(N / level) + (N - 1) ln|q| + ln N < tail_log10 ln 10.
+
+    4 pi sqrt(N / level) is the growth of ln|c_N| for a form with a simple
+    pole at the cusp on Gamma0(level): j at level 1, 2G at level 6.  With
+    the power of |q| and the ln N slack of _check_tail, the left side is
+    that check's estimate of the tail, so the order returned passes it.
+    """
     ln_q = log(qabs)
-    order = 200
-    while order < 40000:
-        # coefficient growth of a pole-order-one negative-weight form
-        if 4 * pi * sqrt(order) + order * ln_q < tail_log10 * log(10.0):
-            return order
-        order *= 2
+    bound = tail_log10 * log(10.0)
+    for n in range(1, _MAX_ORDER + 1):
+        if 4 * pi * sqrt(n / level) + (n - 1) * ln_q + log(n) < bound:
+            return n
     raise PrecisionError(f"no workable truncation order for |q| = {qabs}")

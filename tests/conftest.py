@@ -8,7 +8,8 @@ schoolbook double loop and the term-by-term recurrence, partition numbers by
 the pentagonal-number recurrence, level-6 representatives by a windowed
 search over coprime pairs and level-6 equivalence by a bounded matrix
 search, Kloosterman sums by one mpmath exponential per unit, Bessel I and J
-by their ascending series, point counts by a direct (x, y) scan.
+by their ascending series, q-expansions at CM points term by term in mpc,
+point counts by a direct (x, y) scan.
 """
 
 import random
@@ -434,6 +435,28 @@ def bessel_by_ascending_series(nu, x, precision_digits, signed):
             if ratio < mp.mpf("0.5") and abs(term) < tol * max(mp.mpf(1), abs(total)):
                 return total
             k += 1
+
+
+# --- term-by-term q-expansion oracle ----------------------------------------------
+
+
+def q_expansion_sums_by_mpc(coeffs, tau):
+    """(sum c_m q^m, sum m c_m q^m) at q = exp(2 pi i tau), c_m = coeffs[m + 1].
+
+    The two-accumulator loop rademacher used before its fixed-point Horner
+    sum, kept as the reference: one mpc power of q and one mpc add per term,
+    at the caller's working precision.
+    """
+    q = mp.expjpi(2 * mp.mpc(tau))
+    qpow = 1 / q
+    total = mp.mpc(0)
+    dtotal = mp.mpc(0)
+    for m, c in enumerate(coeffs, start=-1):
+        if c:
+            total += c * qpow
+            dtotal += m * c * qpow
+        qpow *= q
+    return total, dtotal
 
 
 # --- direct point-count oracle -------------------------------------------------

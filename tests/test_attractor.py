@@ -1,13 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import pi, sqrt
 
+import mpmath as mp
 import pytest
 
 from classforms import attractor as at
 from classforms import quadforms as qf
 from classforms.attractor import Matrix2x2
 from classforms.quadforms import Form
+
+from conftest import q_expansion_sums_by_mpc
 
 
 def test_discriminant_of_charges_examples():
@@ -176,10 +180,17 @@ def _icbrt(n: int) -> int:
     return r
 
 
+# SHA-256 of the lines "D c_0 ... c_h" over every fundamental |D| < 800,
+# recorded from the term-by-term mpc sums before the fixed-point Horner sum
+_HILBERT_BELOW_800_SHA256 = "fc9333241f6186b78323a2130c94904c7a658380de7cf96bbe47b3c60b11cd3d"
+
+
 def test_hilbert_degree_matches_class_number():
-    # every fundamental |D| < 400, and D = -479 (h = 25, constant term of 167
-    # digits); D = -143 and -479 failed under the old fixed digit budget
-    for D in list(range(-399, -2)) + [-479]:
+    # every fundamental |D| < 800 (245 of them, up to h = 32 and a constant
+    # term of 230 digits at D = -791); D = -143 and -479 failed under the old
+    # fixed digit budget
+    lines = []
+    for D in range(-799, -2):
         if D % 4 in (0, 1) and qf.is_fundamental(D):
             coeffs = at.hilbert_class_polynomial(D)
             assert len(coeffs) - 1 == qf.class_number(D), D
@@ -188,6 +199,32 @@ def test_hilbert_degree_matches_class_number():
                 # so H_D(0) = +-N(j) is a cube: one wrong digit breaks it
                 c0 = abs(coeffs[0])
                 assert _icbrt(c0) ** 3 == c0, D
+            lines.append(f"{D} " + " ".join(map(str, coeffs)))
+    assert len(lines) == 245
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _HILBERT_BELOW_800_SHA256
+
+
+def test_horner_sum_matches_mpc_oracle_at_hilbert_roots(monkeypatch):
+    # every root of D = -479 and -1055 at the order and digits the class
+    # polynomial picks, against the term-by-term loop 20 digits higher
+    calls = []
+    inner = at.q_expansion_sum
+
+    def record(coeffs, tau, tail_log10):
+        calls.append((coeffs, tau, mp.mp.dps))
+        return inner(coeffs, tau, tail_log10)
+
+    monkeypatch.setattr(at, "q_expansion_sum", record)
+    for D in (-479, -1055):
+        calls.clear()
+        at.hilbert_class_polynomial(D)
+        assert len(calls) == qf.class_number(D)
+        for coeffs, tau, digits in calls:
+            with mp.workdps(digits):
+                got = inner(coeffs, tau, -digits)
+            with mp.workdps(digits + 20):
+                want, _ = q_expansion_sums_by_mpc(coeffs, tau)
+                assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (D, tau)
 
 
 def test_hilbert_linear_for_class_number_one():
@@ -206,6 +243,6 @@ def test_hilbert_checks_each_root_tail(monkeypatch):
     # a truncation too short for the largest |q| is refused, not rounded
     from classforms.rademacher import PrecisionError
 
-    monkeypatch.setattr(at, "_auto_order", lambda qabs, tail_log10: 20)
+    monkeypatch.setattr(at, "_auto_order", lambda qabs, tail_log10, level: 20)
     with pytest.raises(PrecisionError, match="truncation order 20"):
         at.hilbert_class_polynomial(-479)

@@ -107,6 +107,12 @@ def test_precision_default_ignores_environment(capsys, monkeypatch):
     # 310 working digits: the tail tolerance 10^-310 underflows a float
     (["bh", "hilbert", "-1055"],
      "e22a4309375c4b7604320562cf274a215b6230626a6304101cb72fe7e711f865"),
+    # recorded from the term-by-term sums at orders 3200 and 12800; n = 30
+    # has 31 points up to |q| = 0.86
+    (["singular-trace", "--n", "11"],
+     "a1b09b294814e24e717a35ba5c3d3f93abdc5d9923ca29dabdc27d3c5aac0ac9"),
+    (["singular-trace", "--n", "30"],
+     "0b49e52a25935f001f4bcda47b5237fc346dfa32f62ff5c56084e5d65135612e"),
 ])
 def test_cm_point_outputs_pinned(capsys, argv, sha256):
     # full stdout recorded before the level-6 walk and the shared q-expansion sum

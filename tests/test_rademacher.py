@@ -1,5 +1,5 @@
 import random
-from math import gcd, pi, sqrt
+from math import gcd, log, pi, sqrt
 
 import mpmath as mp
 import pytest
@@ -10,7 +10,7 @@ from classforms.quadforms import class_number, enumerate_reduced, reduce as redu
 from classforms.rademacher import PrecisionError, RademacherParams
 
 from conftest import (bessel_by_ascending_series, gamma0_equivalent, kloosterman_by_exponentials,
-                      level_rep_by_window_search)
+                      level_rep_by_window_search, q_expansion_sums_by_mpc)
 
 
 # --- Kloosterman sums ---------------------------------------------------------
@@ -270,6 +270,60 @@ def test_eval_G_tail_guard_uses_its_tolerance():
         rd.eval_P_complex(0.12j, order=50, precision_digits=40)
     reference = rd.eval_G(0.12j, order=400, precision_digits=40)
     assert abs(rd.eval_G(0.12j, order=100, precision_digits=40) - reference) < 1e-9
+
+
+def test_horner_sum_matches_mpc_oracle_at_trace_points(monkeypatch):
+    # every CM point of n = 8, 11, 30 at the order and digits the trace picks,
+    # for 2G and for m times its coefficients (the two sums behind P); the
+    # term-by-term oracle runs 20 digits higher, because at the trace's own
+    # digits its running power of q loses up to 10 digits at |q| = 0.86.
+    # The orders are the least the level-6 growth model allows.
+    calls = []
+    inner = rd.eval_P_complex
+
+    def record(tau, order, precision_digits):
+        calls.append((tau, order, precision_digits))
+        return inner(tau, order, precision_digits)
+
+    monkeypatch.setattr(rd, "eval_P_complex", record)
+    for n, least_order in ((8, 515), (11, 667), (30, 1550)):
+        calls.clear()
+        rd.trace_singular_moduli(n)
+        assert len(calls) == len(rd.enumerate_QD(n))
+        assert {order for _, order, _ in calls} == {least_order}, n
+        for tau, order, digits in calls:
+            g2 = rd._g2_coefficients(order)
+            weighted = [m * c for m, c in enumerate(g2, start=-1)]
+            with mp.workdps(digits + 20):
+                wants = q_expansion_sums_by_mpc(g2, tau)
+            with mp.workdps(digits):
+                gots = (rd.q_expansion_sum(g2, tau), rd.q_expansion_sum(weighted, tau))
+            with mp.workdps(digits + 20):
+                for got, want in zip(gots, wants):
+                    assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (n, tau)
+
+
+def _criterion(n, qabs, tail_log10, level):
+    return 4 * pi * sqrt(n / level) + (n - 1) * log(qabs) + log(n) < tail_log10 * log(10.0)
+
+
+def test_auto_order_is_least_and_passes_the_tail_check():
+    # the order is the least meeting its growth model, and that model plus
+    # ln N slack must also satisfy the tail check on the true coefficients:
+    # j at level 1, 2G at level 6, from tiny |q| up to the worst n = 30 point
+    grid = (0.002, 0.005, 0.02, 0.08, 0.2, 0.4, 0.6, 0.75, 0.86)
+    tails = (-14, -60, -200, -310)
+    orders = {(qabs, tail, level): rd._auto_order(qabs, tail, level)
+              for qabs in grid for tail in tails for level in (1, 6)}
+    j_order, g2_order = (max(n for key, n in orders.items() if key[2] == level) for level in (1, 6))
+    jq = qs.j_series(j_order)
+    coeffs = {1: [int(jq.coefficient(k)) for k in range(-1, j_order)],
+              6: rd._g2_coefficients(g2_order)}
+    for (qabs, tail, level), n in orders.items():
+        assert _criterion(n, qabs, tail, level), (qabs, tail, level, n)
+        assert not _criterion(n - 1, qabs, tail, level), (qabs, tail, level, n)
+        tau = mp.mpc(0, -log(qabs) / (2 * pi))
+        rd.q_expansion_sum(coeffs[level][:n + 1], tau, tail)
 
 
 def test_enumerate_QD_n1_exact():
