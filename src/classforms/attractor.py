@@ -95,14 +95,13 @@ def metric_L():
 
 @dataclass(frozen=True)
 class ChargeVector:
-    """12 rational components, with the overall 1/sqrt2 kept as a flag.
+    """12 rational components of a vector that carries an overall 1/sqrt2.
 
-    Inner products of two normalized vectors pick up (1/sqrt2)^2 = 1/2 and
-    therefore stay exact rationals.
+    Inner products pick up (1/sqrt2)^2 = 1/2 and therefore stay exact
+    rationals.
     """
 
     components: tuple
-    normalized: bool = True
 
     def __post_init__(self):
         if len(self.components) != 12:
@@ -114,16 +113,12 @@ def charge_vector(*entries) -> ChargeVector:
 
 
 def inner(v: ChargeVector, w: ChargeVector) -> Fraction:
-    """v^T L w, including the 1/2 from the 1/sqrt2 normalizations."""
+    """v^T L w, including the 1/2 from the two 1/sqrt2 normalizations."""
     total = Fraction(0)
     for i in range(6):
         total += v.components[i] * w.components[6 + i]
         total += v.components[6 + i] * w.components[i]
-    if v.normalized and w.normalized:
-        total /= 2
-    elif v.normalized != w.normalized:
-        raise ValueError("mixed normalization has an irrational inner product")
-    return total
+    return total / 2
 
 
 # the printed representatives at D = -20 and D = -84 (components before 1/sqrt2)

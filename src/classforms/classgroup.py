@@ -5,16 +5,18 @@ Theory, Alg. 5.4.7): with s = (b+b')/2 and d = gcd(a, a', s), the composite
 of [a,b,c] and [a',b',c'] has leading coefficient aa'/d^2 and a middle
 coefficient read off the Bezout coefficients of that gcd.  It is total on
 primitive forms of equal discriminant, so no representative search is
-needed.  Element orders come from the factorization of h(D): f^h is the
-identity, and each prime p | h is stripped from the exponent while the
-power stays principal.
+needed.  Element orders come from walking cyclic subgroups: f, f^2, ... is
+composed out until it returns to the principal form, at most h(D) steps
+(Buchmann and Schmidt, Math. Comp. 2005), and one walk of length n gives
+every power f^i its order n/gcd(i, n).
 
-Also here: elementary-divisor structure, the 2-torsion count, the form-to-
-ideal map, and the class-number statistics and growth-bound evaluations.
+Also here: elementary divisors read from the order counts in exact integers,
+the 2-torsion count, the form-to-ideal map, and the class-number statistics
+and growth-bound evaluations.
 """
 
 from dataclasses import dataclass
-from math import isqrt, log, pi
+from math import gcd, isqrt, log, pi, prod
 
 from . import tables
 from .arith import is_prime, prime_divisors, xgcd
@@ -83,23 +85,29 @@ def power(f, k: int) -> Form:
     return result
 
 
+def _walk(f, h: int):
+    """[f, f^2, ..., f^n] with f^n the principal form, for a reduced f.
+
+    Raises ArithmeticError if the principal form is not reached within h
+    steps, which no class of a group of order h can do.
+    """
+    e = identity(f.discriminant())
+    powers = [f]
+    while powers[-1] != e:
+        if len(powers) >= h:
+            raise ArithmeticError(f"no power of {f} up to the class number {h} is principal")
+        powers.append(compose(powers[-1], f))
+    return powers
+
+
 def element_order(f) -> int:
     """Least k >= 1 with the k-th power of f principal; divides h(D).
 
-    Starts from k = h and divides out each prime p | h while f^(k/p) stays
-    principal.  Raises ArithmeticError if f^h itself is not principal.
+    The length of the walk f, f^2, ... to the principal form, bounded by
+    h(D); raises ArithmeticError if the walk does not close within h(D).
     """
     f = reduce(as_form(f))
-    D = f.discriminant()
-    e = identity(D)
-    h = class_number(D)
-    if power(f, h) != e:
-        raise ArithmeticError(f"{f} to the class number {h} is not principal")
-    k = h
-    for p in prime_divisors(h):
-        while k % p == 0 and power(f, k // p) == e:
-            k //= p
-    return k
+    return len(_walk(f, class_number(f.discriminant())))
 
 
 @dataclass(frozen=True)
@@ -117,59 +125,54 @@ class ClassGroupDescription:
 
 
 def _structure_from_orders(orders):
-    """Elementary divisors of a finite abelian group from its order statistics.
+    """Elementary divisors of a finite abelian group from its element orders.
 
-    For each prime p, the count of elements killed by p^k is p raised to
-    sum_i min(k, lambda_i), which pins down the partition (lambda_i) of
-    p-exponents; the per-prime cyclic factors are then aligned largest-first
-    across primes and the divisors returned smallest-first.
+    For each prime p | h, the ratio of the counts of elements killed by p^k
+    and by p^(k-1) is p^(r_k), with r_k the number of cyclic p-factors of
+    order at least p^k; so the i-th largest p-factor (from i = 0) has order
+    p^#{k : r_k > i}.  The p-factors are aligned largest-first across primes
+    and the divisors returned smallest-first.  Raises ArithmeticError when a
+    ratio is not a power of p, the r_k increase, or the product is not h.
     """
-    if len(orders) == 1:
-        return ()
-    primes = set()
-    for o in orders:
-        primes.update(prime_divisors(o))
-    partitions = {}
-    for p in sorted(primes):
-        exps = [0]
-        k = 1
+    h = len(orders)
+    columns = []
+    for p in prime_divisors(h):
+        ranks, killed, pk = [], 1, p
         while True:
-            pk = p**k
             count = sum(1 for o in orders if pk % o == 0)
-            e = count.bit_length() - 1 if p == 2 else round(log(count) / log(p))
-            if p**e != count:
-                raise ArithmeticError("kill counts are not a p-group filtration")
-            if e == exps[-1] and k > 1:
+            ratio, rem = divmod(count, killed)
+            r = next(e for e in range(ratio.bit_length() + 1) if p**e >= ratio)
+            if rem or p**r != ratio or (ranks and r > ranks[-1]):
+                raise ArithmeticError(f"kill counts are not a {p}-group filtration")
+            if r == 0:
                 break
-            exps.append(e)
-            k += 1
-        # mu_k = exps[k] - exps[k-1] = number of parts >= k
-        mu = [exps[k] - exps[k - 1] for k in range(1, len(exps))]
-        parts = []
-        for k in range(1, len(mu) + 1):
-            nxt = mu[k] if k < len(mu) else 0
-            parts.extend([k] * (mu[k - 1] - nxt))
-        partitions[p] = sorted((p**k for k in parts), reverse=True)
-    width = max(len(v) for v in partitions.values())
-    divisors = []
-    for i in range(width):
-        d = 1
-        for parts in partitions.values():
-            if i < len(parts):
-                d *= parts[i]
-        divisors.append(d)
-    return tuple(sorted(divisors))
+            ranks.append(r)
+            killed, pk = count, pk * p
+        columns.append([p ** sum(1 for r in ranks if r > i) for i in range(max(ranks, default=0))])
+    width = max((len(c) for c in columns), default=0)
+    divisors = tuple(sorted(prod(c[i] for c in columns if i < len(c)) for i in range(width)))
+    if prod(divisors) != h:
+        raise ArithmeticError(f"elementary divisors {divisors} do not multiply to {h}")
+    return divisors
 
 
 def group_structure(D: int) -> ClassGroupDescription:
     """Representatives plus elementary divisors d1 | d2 | ... with product h(D).
 
-    Every reduced representative gets its order from element_order, which
-    works down from h(D) by its prime factors; the divisors are then read off
-    the order statistics.
+    A walk f, f^2, ..., f^n = 1 starts at each representative no earlier
+    walk has met and gives f^i the order n/gcd(i, n); the divisors are then
+    read off the order statistics.
     """
     reps = enumerate_reduced(D)
-    orders = [element_order(f) for f in reps]
+    h = len(reps)
+    order = {}
+    for f in reps:
+        if f not in order:
+            powers = _walk(f, h)
+            n = len(powers)
+            for i, g in enumerate(powers, 1):
+                order[g] = n // gcd(i, n)
+    orders = [order[f] for f in reps]
     return ClassGroupDescription(D, tuple(reps), _structure_from_orders(orders))
 
 
@@ -273,8 +276,9 @@ def ng_count(g: int, x: int) -> int:
 
     C(-D) is read as the class group of Q(sqrt(-D)), i.e. of discriminant -D
     or -4D as forced by the residue of D mod 4.  An abelian group has an
-    element of order g iff g divides its exponent, which needs g | h; the
-    structure is computed only where the class-number table allows that.
+    element of order g iff g divides its exponent, which needs g | h; only
+    where the class-number table shows g | h is the structure computed, by
+    group_structure's walks over cyclic subgroups.
     """
     if g < 2 or x < 1:
         raise ValueError("need g >= 2 and x >= 1")

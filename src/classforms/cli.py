@@ -199,11 +199,7 @@ def _cmd_singular_trace(args, t0):
 
 
 def _cmd_ecc_verify(args, t0):
-    try:
-        rows = eccensus.verify_deuring(args.q)
-    except AssertionError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    rows = eccensus.verify_deuring(args.q)
     for r in rows:
         print(f"q={r.q} t={r.t:+d} observed={r.observed} expected={r.expected} "
               f"{r.status}", file=sys.stderr)

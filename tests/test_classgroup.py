@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from classforms import classgroup as cg
+from classforms import cli
 from classforms import quadforms as qf
 from classforms import tables
 from classforms.quadforms import Form
@@ -171,6 +174,79 @@ def test_structure_beyond_table_cutoff():
     # genus theory pins the 2-rank: g - 1 even divisors
     g = len({p for p, _ in _factor(n)})
     assert sum(1 for d in desc.elementary_divisors if d % 2 == 0) == g - 1
+
+
+def test_group_structure_composition_budget(monkeypatch):
+    # one walk per cyclic subgroup not yet met keeps the whole structure
+    # within 2h compositions
+    calls = [0]
+    compose = cg.compose
+
+    def counted(f, g):
+        calls[0] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(cg, "compose", counted)
+    for D, h in ((-960447, 480), (-909011, 528), (-6466460, 1184)):
+        calls[0] = 0
+        desc = cg.group_structure(D)
+        assert len(desc.representatives) == desc.order == h, D
+        assert calls[0] <= 2 * h, (D, calls[0])
+
+
+@st.composite
+def divisor_chains(draw, limit=3000, max_rank=8):
+    """d1 | d2 | ... | dr with every d > 1 and product at most limit."""
+    rank = draw(st.integers(0, max_rank))
+    chain = []
+    for i in range(rank):
+        room = limit // math.prod(chain)
+        d = chain[-1] if chain else 1
+        low = 1 if chain else 2
+        high = low
+        while (d * (high + 1)) ** (rank - i) <= room:
+            high += 1
+        chain.append(d * draw(st.integers(low, high)))
+    return tuple(chain)
+
+
+def _orders_of_product(chain):
+    """Orders of all elements of Z/d1 x ... x Z/dr, by enumeration."""
+    return [math.lcm(*(d // math.gcd(x, d) for x, d in zip(xs, chain)))
+            for xs in itertools.product(*(range(d) for d in chain))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisor_chains())
+@example((2,) * 8)
+@example((2, 2, 2, 2, 74))
+@example((3, 9))
+@example(())
+def test_structure_from_orders_reads_back_the_chain(chain):
+    assert cg._structure_from_orders(_orders_of_product(chain)) == chain
+
+
+@pytest.mark.parametrize("orders", [
+    [1, 2, 2, 2, 4],  # h = 5, but no element of order 5
+    [1, 2, 3, 6, 6, 6],  # two elements killed by 3: not a power of 3
+    [1, 2, 4, 4, 4, 4, 4, 4],  # 2-ranks 1 then 2: ranks never increase
+])
+def test_structure_from_orders_rejects_impossible_counts(orders):
+    with pytest.raises(ArithmeticError):
+        cg._structure_from_orders(orders)
+
+
+def test_walk_stops_at_the_class_number(monkeypatch, capsys):
+    # a composition that never leaves f must trip the h-step bound, not loop
+    monkeypatch.setattr(cg, "compose", lambda f, g: f)
+    with pytest.raises(ArithmeticError):
+        cg.element_order((2, 1, 3))
+    with pytest.raises(ArithmeticError):
+        cg.group_structure(-23)
+    assert cli.main(["classgroup", "-23"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "identity failure" in captured.err
 
 
 def test_two_torsion_examples():

@@ -302,6 +302,20 @@ def test_identity_failure_exits_1(capsys, monkeypatch):
     assert "census disagrees" in captured.err
 
 
+def test_ecc_verify_mismatch_exits_1(capsys, monkeypatch):
+    # a census that disagrees with the class-number count reaches main's
+    # identity-failure route, with no handler of its own in between
+    from classforms import eccensus
+
+    monkeypatch.setattr(eccensus, "kronecker_class_number", lambda n: 0)
+    rc = cli.main(["ecc", "verify", "--q", "7"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "identity failure" in captured.err
+    assert "census disagrees" in captured.err
+
+
 def test_precision_exhausted_exits_3(capsys):
     rc = cli.main(["singular-trace", "--n", "1", "--order", "5"])
     captured = capsys.readouterr()
