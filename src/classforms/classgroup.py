@@ -176,16 +176,24 @@ def group_structure(D: int) -> ClassGroupDescription:
     return ClassGroupDescription(D, tuple(reps), _structure_from_orders(orders))
 
 
+def ambiguous_count(reps) -> int:
+    """Number of forms in reps, all reduced, whose class is its own inverse.
+
+    A reduced form is its own inverse exactly when b = 0, b = a, or a = c, so
+    the count is read off the forms directly, with no composition; this
+    matches counting fixed points of compose(f, f).
+    """
+    return sum(1 for f in reps if f.b == 0 or f.b == f.a or f.a == f.c)
+
+
 def two_torsion_order(D: int) -> int:
     """Number of classes f with f*f principal (equals 2^(g-1), g = #primes | D).
 
-    A reduced form is its own inverse exactly when b = 0, b = a, or a = c, so
-    the count is read off the reduced representatives directly; this matches
-    counting fixed points of compose(f, f) and is fast enough for scans.
+    The ambiguous_count of the reduced representatives; fast enough for scans.
     """
     if not (D < 0 and is_fundamental(D)):
         raise ValueError("two-torsion count by genus theory needs a fundamental discriminant")
-    return sum(1 for f in enumerate_reduced(D) if f.b == 0 or f.b == f.a or f.a == f.c)
+    return ambiguous_count(enumerate_reduced(D))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
-"""Truncated Laurent series with exact rational coefficients.
+"""Truncated Laurent series with exact coefficients.
 
 A QSeries stores its valuation (lowest exponent), a coefficient list indexed
 from the valuation, and an exclusive truncation order.  Arithmetic never
 fabricates terms past the truncation: the order of a product or inverse is
 the smallest order the inputs support.  Everything is exact -- coefficients
-are Python ints or Fractions, never floats -- so the trace-formula
-integrality check below is a hard assertion rather than a tolerance.
+are Python ints, or Fractions where a scalar brings them in, never floats --
+so the trace-formula integrality check below is a hard assertion rather
+than a tolerance.
+
+Products and inverses take integer coefficients only, and an inverse needs
+a leading coefficient of +-1: every series built here (Delta, 1/Delta, E2,
+E4, j, the partition series) is of that kind.  Scalar multiples and sums
+are term by term and also accept Fractions.
 
 Products and inverses share one kernel.  A product is a Kronecker
 substitution: each operand's integer coefficients are packed into one big
@@ -14,14 +20,13 @@ multiplied once by the C `decimal` module (libmpdec multiplies large numbers
 by a number-theoretic transform), and the slots are read back with balanced
 digits.  A truncated product packs each operand cut to the wanted length and
 reads back only the low slots.  An inverse is Newton iteration on that
-product, doubling the number of correct terms per step.  Fractions are
-cleared to a common denominator per operand first.
+product, doubling the number of correct terms per step.
 """
 
 import decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
 from .arith import divisors
 
@@ -90,10 +95,9 @@ class QSeries:
     def __mul__(self, other):
         """Product with a scalar or a series, cut at the order both support.
 
-        One Kronecker-substituted product (see the module docstring) on the
-        operands cleared of denominators.  A coefficient is a Fraction
-        exactly where the term-by-term sum would meet a Fraction factor, so
-        int series multiply to int series.
+        A series product needs integer coefficients on both sides (TypeError
+        otherwise) and is one Kronecker-substituted product; see the module
+        docstring.  A scalar, int or Fraction, multiplies term by term.
         """
         if isinstance(other, (int, Fraction)):
             return QSeries(
@@ -105,51 +109,27 @@ class QSeries:
             other.truncation_order + self.valuation,
         )
         v = self.valuation + other.valuation
-        n = order - v
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        ia, da = _over_common_denominator(a)
-        ib, db = _over_common_denominator(b)
-        out = _kronecker(ia, ib, n)
-        if _has_fraction(a) or _has_fraction(b):
-            den = da * db
-            out = [Fraction(c, den) if frac else c // den
-                   for c, frac in zip(out, _fraction_positions(a, b, n))]
-        return QSeries(v, out, order)
+        return QSeries(v, _kronecker(_ints(self.coeffs), _ints(other.coeffs), order - v), order)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; needs a nonzero leading coefficient.
+        """Multiplicative inverse of an integer series with leading coefficient +-1.
 
         Newton iteration g <- g - q^m (g h) mod q^2m, where f g = 1 + q^m h,
-        on the integer series f(lead q) / lead; the coefficients of 1/f are
-        those of its inverse divided by powers of the leading coefficient.
-        The output is typed as the term-by-term recurrence types it: ints
-        while every term is an int over a leading coefficient of +-1,
-        Fractions from the first nonzero Fraction coefficient on.
+        on lead * f, whose leading coefficient is 1; since lead^2 = 1, 1/f is
+        lead times its inverse.  A Fraction coefficient raises TypeError; any
+        other leading coefficient raises ArithmeticError, as the inverse then
+        has no integer coefficients.
         """
         if not self.coeffs or self.coeffs[0] == 0:
             raise ZeroDivisionError("series inversion needs a nonzero leading coefficient")
+        lead = _ints(self.coeffs)[0]
+        if lead not in (1, -1):
+            raise ArithmeticError(f"leading coefficient {lead} has no inverse over the integers")
         n = len(self.coeffs)
-        f, den = _over_common_denominator(self.coeffs)
-        lead = f[0]
-        # f(lead q) / lead: coefficients f_k lead^(k-1), leading coefficient 1
-        scaled = [1]
-        p = 1
-        for c in f[1:]:
-            scaled.append(c * p)
-            p *= lead
-        first_fraction = 0
-        if isinstance(self.coeffs[0], int) and abs(self.coeffs[0]) == 1:
-            first_fraction = next(
-                (k for k, c in enumerate(self.coeffs) if c and isinstance(c, Fraction)), n
-            )
-        out = []
-        p = lead  # self = f / den, so 1/self has coefficients den g_k / lead^(k+1)
-        for k, c in enumerate(_newton_inverse(scaled, n)):
-            out.append(Fraction(den * c, p) if k >= first_fraction else den * c // p)
-            p *= lead
-        return QSeries(-self.valuation, out, n - self.valuation)
+        g = _newton_inverse([lead * c for c in self.coeffs], n)
+        return QSeries(-self.valuation, [lead * c for c in g], n - self.valuation)
 
     def __pow__(self, k):
         if k < 0:
@@ -242,6 +222,13 @@ def _pack(coeffs, w: int):
     return packed
 
 
+def _ints(coeffs):
+    """coeffs, after checking that each is an int: the kernel is exact over Z."""
+    if not all(isinstance(c, int) for c in coeffs):
+        raise TypeError("series products and inverses need integer coefficients")
+    return coeffs
+
+
 def _strip(coeffs):
     k = len(coeffs)
     while k and not coeffs[k - 1]:
@@ -292,31 +279,6 @@ def _newton_inverse(f, n: int):
         g += [-c for c in _kronecker(g, h, m2 - m)]
         m = m2
     return g
-
-
-def _has_fraction(coeffs) -> bool:
-    return any(isinstance(c, Fraction) for c in coeffs)
-
-
-def _over_common_denominator(coeffs):
-    """Integers f and d with coeffs[i] == f[i] / d."""
-    d = lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
-    return [c.numerator * (d // c.denominator) if isinstance(c, Fraction) else c * d
-            for c in coeffs], d
-
-
-def _fraction_positions(a, b, n: int):
-    """Where a term-by-term product picks up a Fraction: at exponent k, some
-    pair of nonzero terms a_i b_(k-i) has a Fraction factor.  Counts all
-    nonzero pairs and the int-by-int pairs; they differ exactly there."""
-    def nonzero(s):
-        return [1 if c else 0 for c in s]
-
-    def nonzero_int(s):
-        return [1 if c and not isinstance(c, Fraction) else 0 for c in s]
-
-    return [x != y for x, y in zip(_kronecker(nonzero(a), nonzero(b), n),
-                                   _kronecker(nonzero_int(a), nonzero_int(b), n))]
 
 
 def one(order):

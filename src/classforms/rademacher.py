@@ -5,10 +5,9 @@ configurable working precision.  Each Kloosterman sum is exact integer
 arithmetic up to one rounded root of unity per modulus: the residues are
 counted into bins mod c and weighted by a fixed-point cosine table whose
 bit count follows from a stated error bound.  The Bessel kernels are
-mpmath's I and J at the same working precision.  The weight-12 sum for the
-cusp-form coefficients converges only conditionally, so its partial sums
-are tail-averaged; the positive-weight kernels (I-Bessel) converge
-absolutely and need no such treatment.
+mpmath's I and J at the same working precision.  Every sum here converges
+absolutely, the weight-12 one too (its terms are O(c^-11.5)), so each is
+read off its last partial sum.
 
 The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
@@ -165,8 +164,8 @@ def rademacher_inv_delta(n: int, params: RademacherParams = RademacherParams()) 
 
 
 def rademacher_tau_partials(n: int, params: RademacherParams):
-    """Partial sums (before tail averaging) of the weight-12 coefficient sum,
-    without the calibration constant: 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c)."""
+    """Partial sums of the weight-12 coefficient sum, without the normalization
+    beta: 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c)."""
     if n < 2:
         raise ValueError("n must be at least 2")
     with mp.workdps(params.precision_digits):
@@ -176,25 +175,19 @@ def rademacher_tau_partials(n: int, params: RademacherParams):
     return [float(x) for x in partials]
 
 
-_TAIL_WINDOW = 10
-
-
-def _tail_average(partials) -> float:
-    """Average of the last _TAIL_WINDOW partial sums; damps conditional oscillation."""
-    w = min(_TAIL_WINDOW, len(partials))
-    return sum(partials[-w:]) / w
-
-
 def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> float:
-    """Fit the normalization of the weight-12 sum from tau(2) = -24.
+    """The normalization beta = 2.8402873... of the weight-12 sum.
 
-    The reference value 2.840... is a norm ratio not derivable from the
-    truncated sum itself, so it is calibrated once here and frozen; the test
-    suite checks the same constant fits other indices.
+    The weight-12 Poincare series P_1 = sum p(n) q^n has p(n) = delta_{n,1}
+    + 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c); the cusp forms of
+    weight 12 are the multiples of Delta, so P_1 = p(1) Delta and tau(n) =
+    p(n)/p(1).  beta is p(1) = 1 + 2 pi sum K(1,1;c)/c J_11(4 pi/c), from
+    the same truncated sum as tau(n) and not fitted to any tau value.
     """
-    target = qseries.delta_series(4).coefficient(2)  # -24
-    raw = _tail_average(rademacher_tau_partials(2, params))
-    return raw / target
+    with mp.workdps(params.precision_digits):
+        partials = _kloosterman_bessel_partials(1, 1, 11, mp.besselj, 2 * mp.pi, 4 * mp.pi,
+                                                params)
+        return float(1 + partials[-1])
 
 
 @lru_cache(maxsize=8)
@@ -203,9 +196,9 @@ def _beta_cached(cmax: int, precision_digits: int) -> float:
 
 
 def rademacher_tau(n: int, params: RademacherParams = RademacherParams(cmax=200)) -> float:
-    """Tail-averaged weight-12 Rademacher sum for tau(n), n >= 2."""
+    """Truncated weight-12 Rademacher sum for tau(n), n >= 2, over beta."""
     beta = _beta_cached(params.cmax, params.precision_digits)
-    return _tail_average(rademacher_tau_partials(n, params)) / beta
+    return rademacher_tau_partials(n, params)[-1] / beta
 
 
 def rd_partials(d: int, n: int, params: RademacherParams):

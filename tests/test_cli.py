@@ -49,6 +49,23 @@ def test_classgroup_subcommand(capsys):
     assert env["results"]["two_torsion_order"] == 4
 
 
+def test_classgroup_enumerates_the_reduced_forms_once(capsys, monkeypatch):
+    from classforms import classgroup, quadforms
+
+    calls = []
+    enumerate_reduced = quadforms.enumerate_reduced
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_reduced(*args, **kwargs)
+
+    for module in (quadforms, classgroup):
+        monkeypatch.setattr(module, "enumerate_reduced", counted)
+    rc, env, _ = run_json(capsys, ["classgroup", "-84"])
+    assert rc == 0 and env["results"]["two_torsion_order"] == 4
+    assert calls == [(-84,)]
+
+
 def test_classgroup_neg_flag(capsys):
     rc, env, _ = run_json(capsys, ["--neg", "classgroup", "84"])
     assert rc == 0

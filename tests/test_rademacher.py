@@ -196,12 +196,26 @@ def test_tau_calibration_and_stability():
     # the reference constant carries three printed decimals
     assert beta == pytest.approx(2.840, abs=5e-3)
     d = qs.delta_series(6)
-    beta3 = rd._tail_average(rd.rademacher_tau_partials(3, params)) / d.coefficient(3)
+    beta3 = rd.rademacher_tau_partials(3, params)[-1] / d.coefficient(3)
     assert abs(beta3 - beta) / beta < 0.01
     for n in (2, 3, 4):
         value = rd.rademacher_tau(n, params)
         exact = d.coefficient(n)
         assert abs(value - exact) / abs(exact) < 0.01, n
+
+
+def test_beta_is_the_first_poincare_coefficient():
+    # p(1) = 1 + 2 pi sum_{c <= 30} K(1,1;c)/c J_11(4 pi/c) from the oracles, at
+    # 40 digits: beta, a float, must be the float nearest it (1e-20 relative
+    # before rounding), where a value fitted to tau(2) = -24 is 2e-13 off
+    digits = 40
+    with mp.workdps(digits):
+        total = mp.mpf(0)
+        for c in range(1, 31):
+            j11 = bessel_by_ascending_series(11, 4 * mp.pi / c, digits, signed=True)
+            total += kloosterman_by_exponentials(1, 1, c, digits) / c * j11
+        want = 1 + 2 * mp.pi * total
+    assert rd.calibrate_beta(RademacherParams(cmax=30, precision_digits=30)) == float(want)
 
 
 def test_tau_at_large_index():
