@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log, log10, pi
 
-import mpmath as mp
-
 from . import qseries
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
 from .rademacher import PrecisionError, _auto_order, _qabs, cm_root, q_expansion_sum
@@ -263,6 +261,8 @@ def hilbert_class_polynomial(D: int):
     below 10^-digits, and every root's tail is checked against that bound
     before its fixed-point sum is taken.
     """
+    import mpmath as mp
+
     if not is_fundamental(D):
         raise ValueError("class polynomials are computed for fundamental discriminants")
     forms = enumerate_reduced(D)

@@ -15,12 +15,17 @@ smallest-prime-factor tables and holds it to exact equality with the direct
 count, so every emitter (the J-versus-P table and the figure data behind the
 scatter, histogram and CDF) reads cross-checked values.  figure_data streams
 the normalized excess (P - m^2/12 - 5m/8)/sqrt(m) for plotting.
+
+numpy (for the lattice count and the emitters) and rademacher's mpmath sums
+(for the identity check) are imported inside the functions that use them, so
+that `cft zk` without --cmax, like every command that needs neither library,
+starts without loading them.
 """
+
+from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor
-
-import numpy as np
 
 from . import qseries, tables
 
@@ -157,6 +162,8 @@ def polar_count_bruteforce(m: int) -> int:
     One int64 expression over l = 1..m, sharing nothing with the closed form.
     The largest intermediate, m^2 + 4m - 1, is exact in int64 for m < 3*10^9.
     """
+    import numpy as np
+
     if m < 1:
         raise ValueError("index must be positive")
     l = np.arange(1, m + 1, dtype=np.int64)
@@ -202,12 +209,16 @@ def figure_data(mmax: int) -> np.ndarray:
     P comes from polar_counts, the same cross-checked scan the table reads,
     so the scatter, histogram and CDF emitters are checked like the table.
     """
+    import numpy as np
+
     return np.array([normalized_excess(m, P) for m, P in enumerate(polar_counts(mmax), 1)],
                     dtype=float)
 
 
 def histogram(values: np.ndarray):
     """Freedman-Diaconis equal-width histogram: (bin_width, [(left, right, count)...])."""
+    import numpy as np
+
     v = np.sort(np.asarray(values, dtype=float))
     n = len(v)
     iqr = float(v[(3 * n) // 4] - v[n // 4])
@@ -224,6 +235,8 @@ def histogram(values: np.ndarray):
 
 def empirical_cdf(values: np.ndarray):
     """Sorted (value, cumulative fraction) pairs."""
+    import numpy as np
+
     v = np.sort(np.asarray(values, dtype=float))
     n = len(v)
     return [(float(x), (i + 1) / n) for i, x in enumerate(v)]

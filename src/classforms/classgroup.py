@@ -237,6 +237,16 @@ def siegel_reference_curve(D: int, eps: float) -> float:
     return float((-D) ** (0.5 - eps))
 
 
+def h_scan(N: int, eps: float):
+    """[(D, h(D), siegel_reference_curve(D, eps))] for fundamental -N <= D < 0, |D| rising."""
+    if N < 0:
+        raise ValueError(f"N = {N} is negative: the scan needs N >= 0")
+    h = tables.class_number_table(N)
+    fund = tables.fundamental_mask(N)
+    return [(-n, int(h[n]), siegel_reference_curve(-n, eps))
+            for n in range(3, N + 1) if fund[n]]
+
+
 def cohen_lenstra_prediction(p: int) -> float:
     """prod_{n>=1} (1 - p^-n), truncated once the tail is below 1e-12."""
     if p == 2:

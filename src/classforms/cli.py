@@ -15,7 +15,11 @@ import sys
 import time
 from fractions import Fraction
 
-from . import attractor, cftx, classgroup, eccensus, qseries, rademacher, tables
+# Every layer module is imported here, tables too though no handler names it:
+# `import classforms.cli` then binds each one on the package, where
+# perfbench/traced_child.py looks up the entry points it wraps.  The modules
+# themselves load numpy and mpmath only inside the functions that use them.
+from . import attractor, cftx, classgroup, eccensus, qseries, rademacher, tables  # noqa: F401
 from .quadforms import is_fundamental
 
 
@@ -185,8 +189,9 @@ def _cmd_rademacher(args, t0):
 
 
 def _cmd_singular_trace(args, t0):
-    expected = (24 * args.n - 1) * qseries.partition_numbers(args.n)[args.n]
+    # the trace validates n, order and precision before p(n) is asked for
     value = rademacher.trace_singular_moduli(args.n, args.order, args.precision)
+    expected = (24 * args.n - 1) * qseries.partition_numbers(args.n)[args.n]
     results = {
         "n": args.n,
         "trace": value,
@@ -300,18 +305,11 @@ def _cmd_stats_ng(args, t0):
 
 
 def _cmd_stats_h_scan(args, t0):
-    limit = args.N
-    h = tables.class_number_table(limit)
-    fund = tables.fundamental_mask(limit)
-    rows = []
-    for n in range(3, limit + 1):
-        if fund[n]:
-            rows.append((-n, int(h[n]),
-                         classgroup.siegel_reference_curve(-n, args.epsilon)))
+    rows = classgroup.h_scan(args.N, args.epsilon)
     if args.format == "csv":
         _emit_csv("D,h,siegel_curve", rows, comment=f"epsilon = {args.epsilon:.12g}")
     else:
-        _emit(args, "stats h-scan", {"N": limit, "epsilon": args.epsilon},
+        _emit(args, "stats h-scan", {"N": args.N, "epsilon": args.epsilon},
               [{"D": d, "h": hh, "siegel_curve": s} for d, hh, s in rows],
               "classforms.tables.class_number_table", t0)
     return 0

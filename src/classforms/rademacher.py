@@ -16,13 +16,16 @@ partition number p(n), which is the acceptance check for all of it.  Its
 CM-point helpers (the root of a form, |q| there, the least truncation order
 and the one tail-guarded q-expansion sum, a fixed-point Horner loop over
 Gaussian integers) also evaluate j for the class polynomials in attractor.
+
+mpmath is imported inside each function that uses it, not at module level.
+Every command is a fresh process, and attractor and cli import this module,
+so a module-level import would make every command pay for mpmath at
+start-up; only the sums, CM-point values and class polynomials load it.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, gcd, log, log2, pi, sqrt
-
-import mpmath as mp
 
 from .quadforms import Form, enumerate_reduced, reduce
 from . import qseries
@@ -72,6 +75,8 @@ def _kloosterman_mpf(m: int, n: int, c: int, precision_digits: int):
     The table is rebuilt on every call: caching it per modulus saved no time
     on the Rademacher sums and raised their peak memory.
     """
+    import mpmath as mp
+
     if c < 1:
         raise ValueError("modulus must be positive")
     if c == 1:
@@ -107,12 +112,16 @@ def _kloosterman_mpf(m: int, n: int, c: int, precision_digits: int):
 
 def bessel_I(order: int, x, precision_digits: int = 30) -> float:
     """Modified Bessel I_order(x), x > 0, from mpmath at precision_digits."""
+    import mpmath as mp
+
     with mp.workdps(precision_digits):
         return float(_bessel_mpf(mp.besseli, order, x))
 
 
 def bessel_J(order: int, x, precision_digits: int = 30) -> float:
     """Bessel J_order(x), x > 0, from mpmath at precision_digits."""
+    import mpmath as mp
+
     with mp.workdps(precision_digits):
         return float(_bessel_mpf(mp.besselj, order, x))
 
@@ -135,6 +144,8 @@ def _kloosterman_bessel_partials(m: int, n: int, nu: int, bessel, prefactor, arg
     bessel is mp.besseli or mp.besselj.  mpf values; the caller holds the
     working precision, at which each Bessel value is evaluated.
     """
+    import mpmath as mp
+
     partials = []
     acc = mp.mpf(0)
     for c in range(1, params.cmax + 1):
@@ -150,6 +161,8 @@ def rademacher_inv_delta_partials(n: int, params: RademacherParams):
     Returned as mpf values at the working precision so convergence is
     observable beneath double-precision granularity.
     """
+    import mpmath as mp
+
     if n < 1:
         raise ValueError("n must be positive")
     with mp.workdps(params.precision_digits):
@@ -166,6 +179,8 @@ def rademacher_inv_delta(n: int, params: RademacherParams = RademacherParams()) 
 def rademacher_tau_partials(n: int, params: RademacherParams):
     """Partial sums of the weight-12 coefficient sum, without the normalization
     beta: 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c)."""
+    import mpmath as mp
+
     if n < 2:
         raise ValueError("n must be at least 2")
     with mp.workdps(params.precision_digits):
@@ -184,6 +199,8 @@ def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> flo
     p(n)/p(1).  beta is p(1) = 1 + 2 pi sum K(1,1;c)/c J_11(4 pi/c), from
     the same truncated sum as tau(n) and not fitted to any tau value.
     """
+    import mpmath as mp
+
     with mp.workdps(params.precision_digits):
         partials = _kloosterman_bessel_partials(1, 1, 11, mp.besselj, 2 * mp.pi, 4 * mp.pi,
                                                 params)
@@ -203,6 +220,8 @@ def rademacher_tau(n: int, params: RademacherParams = RademacherParams(cmax=200)
 
 def rd_partials(d: int, n: int, params: RademacherParams):
     """Partial sums of r_{d,n} = 2 pi sqrt(d/n) sum K(-d,n;c)/c I_1(4 pi sqrt(dn)/c)."""
+    import mpmath as mp
+
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     with mp.workdps(params.precision_digits):
@@ -249,6 +268,8 @@ def _g2_coefficients(order: int):
 
 def eval_G(tau, order: int = 400, precision_digits: int = 40):
     """Value of G at tau (upper half-plane) from its q-expansion."""
+    import mpmath as mp
+
     with mp.workdps(precision_digits):
         return complex(q_expansion_sum(_g2_coefficients(order), tau) / 2)
 
@@ -271,6 +292,8 @@ def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
 
 def eval_P_complex(tau, order: int = 400, precision_digits: int = 40):
     """The weight-0 completion without the realness assertion."""
+    import mpmath as mp
+
     g2 = _g2_coefficients(order)
     with mp.workdps(precision_digits):
         g_val = q_expansion_sum(g2, tau) / 2
@@ -297,6 +320,8 @@ def q_expansion_sum(coeffs, tau, tail_log10: float = -9.0):
     2^-B sum m |c_m| |q|^(m-1), which the working precision, sized by the
     caller for the largest term, has to cover.
     """
+    import mpmath as mp
+
     if not _im_positive(tau):
         raise ValueError("tau must lie in the upper half-plane")
     bits = mp.mp.prec + len(coeffs).bit_length() + 16
@@ -313,6 +338,8 @@ def q_expansion_sum(coeffs, tau, tail_log10: float = -9.0):
 
 
 def _check_tail(coeffs, qabs, tail_log10: float):
+    import mpmath as mp
+
     # log-scale estimate: the last kept term, with a factor `order` of slack;
     # ln|q| comes from mpmath, since |q| itself can underflow a float
     order = len(coeffs) - 1
@@ -332,6 +359,8 @@ def _im_positive(tau) -> bool:
 
 def cm_root(f: Form, precision_digits: int):
     """Upper-half-plane root of a tau^2 + b tau + c = 0, an mpc at precision_digits."""
+    import mpmath as mp
+
     a, b, _ = f
     with mp.workdps(precision_digits):
         return mp.mpc(-b, mp.sqrt(-f.discriminant())) / (2 * a)
@@ -339,6 +368,8 @@ def cm_root(f: Form, precision_digits: int):
 
 def _qabs(f: Form) -> float:
     """|q| = exp(-pi sqrt|D| / a) at the root of f."""
+    import mpmath as mp
+
     return float(mp.e ** (-mp.pi * mp.sqrt(-f.discriminant()) / f.a))
 
 

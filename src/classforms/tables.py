@@ -13,12 +13,16 @@ indices with |D| % 4 not in {0, 3} are zero.
 The arithmetic tables (Mobius, omega, square-freeness, smallest prime
 factor) all read their primes from spf_table, the one prime sieve; single
 values are answered by arith.factorization instead.
+
+numpy is imported inside each function that uses it, not at module level.
+Every command is a fresh process, and classgroup imports this module, so a
+module-level import would make every command pay for numpy at start-up.
 """
+
+from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-
-import numpy as np
 
 from .arith import divisors_from_factorization  # noqa: F401  (re-exported for scans)
 
@@ -26,6 +30,8 @@ from .arith import divisors_from_factorization  # noqa: F401  (re-exported for s
 @lru_cache(maxsize=4)
 def reduced_form_counts(limit: int) -> np.ndarray:
     """counts[n] = number of reduced forms (primitive or not) with |D| = n <= limit."""
+    import numpy as np
+
     counts = np.zeros(limit + 1, dtype=np.int64)
     amax = isqrt(limit // 3)
     for a in range(1, amax + 1):
@@ -46,6 +52,8 @@ def reduced_form_counts(limit: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _mobius_upto(limit: int) -> np.ndarray:
+    import numpy as np
+
     mu = np.ones(limit + 1, dtype=np.int64)
     for p in primes_upto(limit).tolist():
         mu[p::p] *= -1
@@ -77,6 +85,8 @@ def class_number_table(limit: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def squarefree_mask(limit: int) -> np.ndarray:
+    import numpy as np
+
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
     for p in primes_upto(isqrt(limit)).tolist():
@@ -87,6 +97,8 @@ def squarefree_mask(limit: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def fundamental_mask(limit: int) -> np.ndarray:
     """mask[n] true iff -n is a fundamental discriminant, n <= limit."""
+    import numpy as np
+
     sf = squarefree_mask(limit)
     n = np.arange(limit + 1)
     mask = np.zeros(limit + 1, dtype=bool)
@@ -101,6 +113,8 @@ def fundamental_mask(limit: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def omega_table(limit: int) -> np.ndarray:
     """omega[n] = number of distinct prime divisors of n."""
+    import numpy as np
+
     omega = np.zeros(limit + 1, dtype=np.int64)
     for p in primes_upto(limit).tolist():
         omega[p::p] += 1
@@ -114,6 +128,8 @@ def spf_table(limit: int) -> np.ndarray:
     The package's one prime sieve: only primes p <= sqrt(limit) are sieved,
     each from p^2 on, and every n >= 2 left unmarked is prime.
     """
+    import numpy as np
+
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, isqrt(limit) + 1):
         if not spf[p]:
@@ -125,6 +141,8 @@ def spf_table(limit: int) -> np.ndarray:
 
 def primes_upto(limit: int) -> np.ndarray:
     """The primes p <= limit, read off spf_table as the n >= 2 with spf[n] = n."""
+    import numpy as np
+
     spf = spf_table(limit)
     return np.flatnonzero(spf[2:] == np.arange(2, limit + 1)) + 2
 
@@ -151,6 +169,8 @@ def ambiguous_class_counts(limit: int) -> np.ndarray:
     fundamental discriminants this equals 2^(g-1) with g the number of
     distinct primes dividing D.
     """
+    import numpy as np
+
     amb = np.zeros(limit + 1, dtype=np.int64)
     # b = 0, a < c: |D| = 4ac
     amax = isqrt(limit) // 2 + 1

@@ -353,6 +353,9 @@ def test_usage_errors_exit_2(capsys):
         # no fundamental discriminant in -N < D < 0: the proportion would be 0/0
         (["stats", "cohen-lenstra", "--p", "3", "--N", "0"], "N = 0"),
         (["stats", "cohen-lenstra", "--p", "3", "--N", "3"], "N = 3"),
+        # n is checked before p(n) is asked for, so the message names n, not nmax
+        (["singular-trace", "--n", "-2"], "n must be positive"),
+        (["stats", "h-scan", "--N", "-5"], "N = -5"),
     ]:
         assert cli.main(argv) == 2, argv
         assert name in capsys.readouterr().err, argv
