@@ -10,22 +10,25 @@ construction.
 P(m), the number of independent polar terms at index m, has a closed form
 mixing class numbers, a square-divisor extremum and a sawtooth; its
 independent oracle is the direct lattice-point count.  polar_counts is the
-one scan over m: it evaluates the closed form from the bulk class-number and
-smallest-prime-factor tables and holds it to exact equality with the direct
-count, so every emitter (the J-versus-P table and the figure data behind the
-scatter, histogram and CDF) reads cross-checked values.  figure_data streams
+one scan over m: polar_count_sieve evaluates the closed form for every
+m <= mmax in one numpy pass over the bulk class-number table (a divisor-sum
+sieve, a square-divisor sieve and the sawtooth read from m mod 4), and
+polar_counts holds it to exact equality with the direct count, so every
+emitter (the J-versus-P table and the figure data behind the scatter,
+histogram and CDF) reads cross-checked values.  polar_count_formula is the
+same closed form for one m, kept as the sieve's oracle.  figure_data streams
 the normalized excess (P - m^2/12 - 5m/8)/sqrt(m) for plotting.
 
-numpy (for the lattice count and the emitters) and rademacher's mpmath sums
-(for the identity check) are imported inside the functions that use them, so
-that `cft zk` without --cmax, like every command that needs neither library,
-starts without loading them.
+numpy (for the sieve, the lattice count and the emitters) and rademacher's
+mpmath sums (for the identity check) are imported inside the functions that
+use them, so that `cft zk` without --cmax, like every command that needs
+neither library, starts without loading them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
 from . import qseries, tables
 
@@ -123,7 +126,10 @@ def sawtooth(x) -> Fraction:
 
 
 def polar_count_formula(m: int, h_table, spf) -> int:
-    """Closed form for the number of independent polar terms at index m.
+    """The per-m closed form for the number of independent polar terms.
+
+    The scans use polar_count_sieve; this one-m evaluation is kept as its
+    test oracle and as a traced entry point.
 
     m^2/12 + 5m/8 + (1/4) sum_{d | 4m} h(d) - (1/2) floor(b/2)
     - (1/2) ((m/4)) + 1/24, where h(d) is the class number at discriminant
@@ -175,6 +181,52 @@ def normalized_excess(m: int, P: int) -> float:
     return (P - m * m / 12.0 - 5.0 * m / 8.0) / m**0.5
 
 
+def polar_count_sieve(mmax: int) -> list:
+    """[P(1), ..., P(mmax)] from the closed form of polar_count_formula, in one pass.
+
+    With w(d) = 6h(d) (w(3) = 2, w(4) = 3, w = 0 off d = 0, 3 mod 4), d | 4m
+    exactly when q | m for q = d/gcd(d, 4), so the weights fold into
+    W(q) = w(q) + w(2q) + w(4q) for odd q and W(q) = w(4q) for even q, and
+    the sum over d | 4m is the sum of W over q | m.  That is sieved with one
+    strided add per q <= sqrt(mmax) and one per cofactor k of the larger q.
+    b, the largest integer with b^2 | m, comes from b[f^2::f^2] = f for
+    rising f, and 12((m/4)) is 0, -3, 0, 3 by m mod 4.  Every 24P is held to
+    divisibility by 24; the first m that fails raises with its sub-terms.
+    """
+    import numpy as np
+
+    if mmax < 1:
+        raise ValueError("mmax must be positive")
+    w = 6 * tables.class_number_table(4 * mmax)
+    w[1:: 4] = w[2:: 4] = w[0] = 0
+    w[3], w[4] = 2, 3
+    W = np.zeros(mmax + 1, dtype=np.int64)
+    W[1:] = w[4:: 4]  # w(4q)
+    W[1:: 2] += w[1: mmax + 1: 2]  # odd q: w(q); w(2q) = 0 as 2q = 2 mod 4
+    six_h = np.zeros(mmax + 1, dtype=np.int64)
+    r = isqrt(mmax)
+    for q in range(1, r + 1):
+        six_h[q:: q] += W[q]
+    for k in range(1, mmax // (r + 1) + 1):
+        top = mmax // k  # the q > r with k * q <= mmax
+        six_h[k * (r + 1): k * top + 1: k] += W[r + 1: top + 1]
+    b = np.ones(mmax + 1, dtype=np.int64)
+    for f in range(2, r + 1):
+        b[f * f:: f * f] = f
+    m = np.arange(mmax + 1, dtype=np.int64)
+    saw24 = np.array([0, -3, 0, 3], dtype=np.int64)[m % 4]
+    total24 = 2 * m * m + 15 * m + six_h - 12 * (b // 2) - saw24 + 1
+    bad = np.flatnonzero(total24[1:] % 24) + 1
+    if bad.size:
+        i = int(bad[0])
+        raise ArithmeticError(
+            f"polar count at m={i} is not an integer: "
+            f"24P = {int(total24[i])} with 6*sum h = {int(six_h[i])}, b = {int(b[i])}, "
+            f"12((m/4)) = {int(saw24[i])}"
+        )
+    return (total24[1:] // 24).tolist()
+
+
 _CROSSCHECK_UPTO = 2000
 _CROSSCHECK_STRIDE = 997
 
@@ -182,24 +234,18 @@ _CROSSCHECK_STRIDE = 997
 def polar_counts(mmax: int) -> list:
     """[P(1), ..., P(mmax)] from the closed form, cross-checked: the one polar scan.
 
-    The formula value is verified against the direct lattice count for every
-    m up to _CROSSCHECK_UPTO and at every multiple of _CROSSCHECK_STRIDE
-    beyond (the direct count is O(m), so a full sweep at 10^5 would dominate
-    the runtime); a disagreement raises ArithmeticError.  Every value has
-    also passed the integrality assertion inside polar_count_formula.
+    The values come from polar_count_sieve, which has held every 24P to
+    divisibility by 24.  Each is verified against the direct lattice count
+    for every m up to _CROSSCHECK_UPTO and at every multiple of
+    _CROSSCHECK_STRIDE beyond (the direct count is O(m), so a full sweep at
+    10^5 would dominate the runtime); a disagreement raises ArithmeticError.
     """
-    if mmax < 1:
-        raise ValueError("mmax must be positive")
-    h = tables.class_number_table(4 * mmax)
-    spf = tables.spf_table(4 * mmax)
-    counts = []
-    for m in range(1, mmax + 1):
-        P = polar_count_formula(m, h, spf)
+    counts = polar_count_sieve(mmax)
+    for m, P in enumerate(counts, 1):
         if m <= _CROSSCHECK_UPTO or m % _CROSSCHECK_STRIDE == 0:
             bf = polar_count_bruteforce(m)
             if P != bf:
                 raise ArithmeticError(f"formula {P} != direct count {bf} at m = {m}")
-        counts.append(P)
     return counts
 
 

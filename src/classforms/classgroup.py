@@ -230,17 +230,26 @@ def ggz_lower_bound(D: int) -> float:
     return value
 
 
-def siegel_reference_curve(D: int, eps: float) -> float:
-    """|D|^(1/2 - eps), the comparison curve for class-number growth plots."""
+def _check_eps(eps: float):
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
+
+
+def siegel_reference_curve(D: int, eps: float) -> float:
+    """|D|^(1/2 - eps), the comparison curve for class-number growth plots."""
+    _check_eps(eps)
     return float((-D) ** (0.5 - eps))
 
 
 def h_scan(N: int, eps: float):
-    """[(D, h(D), siegel_reference_curve(D, eps))] for fundamental -N <= D < 0, |D| rising."""
+    """[(D, h(D), siegel_reference_curve(D, eps))] for fundamental -N <= D < 0, |D| rising.
+
+    N and eps are both checked before the scan, so a bad eps is refused even
+    when the range holds no fundamental discriminant.
+    """
     if N < 0:
         raise ValueError(f"N = {N} is negative: the scan needs N >= 0")
+    _check_eps(eps)
     h = tables.class_number_table(N)
     fund = tables.fundamental_mask(N)
     return [(-n, int(h[n]), siegel_reference_curve(-n, eps))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classforms import cftx, qseries as qs
+from classforms import cftx, qseries as qs, tables
 
 
 def test_z1_is_j_minus_744():
@@ -105,6 +105,43 @@ def test_polar_formula_matches_bruteforce_range():
         assert counts[m - 1] == cftx.polar_count_bruteforce(m), m
 
 
+def _formula_values(mmax, ms):
+    h, spf = tables.class_number_table(4 * mmax), tables.spf_table(4 * mmax)
+    return [cftx.polar_count_formula(m, h, spf) for m in ms]
+
+
+def test_polar_count_sieve_matches_per_m_formula():
+    sieve = cftx.polar_count_sieve(5000)
+    assert sieve == _formula_values(5000, range(1, 5001))
+    assert all(type(P) is int for P in sieve)
+    sieve = cftx.polar_count_sieve(10**5)
+    ms = range(97, 10**5 + 1, 97)
+    assert [sieve[m - 1] for m in ms] == _formula_values(10**5, ms)
+
+
+def test_polar_count_sieve_smallest_ranges():
+    # m = 1..4 reach the special weights h(3) = 1/3 and h(4) = 1/2 and every residue mod 4
+    for mmax in (1, 2, 3, 4):
+        assert cftx.polar_count_sieve(mmax) == [
+            cftx.polar_count_bruteforce(m) for m in range(1, mmax + 1)]
+    with pytest.raises(ValueError):
+        cftx.polar_count_sieve(0)
+
+
+def test_polar_count_sieve_asserts_integrality(monkeypatch):
+    # h(7) one too high shifts 24P by 6 at every multiple of 7, first at m = 7
+    real = tables.class_number_table
+
+    def wrong_h7(limit):
+        h = real(limit).copy()
+        h[7] += 1
+        return h
+
+    monkeypatch.setattr(tables, "class_number_table", wrong_h7)
+    with pytest.raises(ArithmeticError, match="m=7 is not an integer"):
+        cftx.polar_count_sieve(50)
+
+
 def test_extremal_n2_report():
     rows = cftx.extremal_n2_report(150)
     flagged = [r["m"] for r in rows if r["flagged"]]
@@ -129,12 +166,14 @@ def test_figure_data_deterministic_and_consistent():
 
 def test_figure_data_crosscheck_trips_on_bad_value(monkeypatch):
     # wreck the formula on one index and watch the pipeline object
-    real = cftx.polar_count_formula
+    real = cftx.polar_count_sieve
 
-    def tampered(m, h_table, spf):
-        return real(m, h_table, spf) + (m == 37)
+    def tampered(mmax):
+        counts = real(mmax)
+        counts[36] += 1  # P(37)
+        return counts
 
-    monkeypatch.setattr(cftx, "polar_count_formula", tampered)
+    monkeypatch.setattr(cftx, "polar_count_sieve", tampered)
     with pytest.raises(ArithmeticError, match="at m = 37"):
         cftx.figure_data(100)
 

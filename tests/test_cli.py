@@ -212,9 +212,16 @@ def test_cft_polar_histogram_and_cdf(capsys):
      "609ec58819db7571e6ed46e73770a89f3da3cc674c90731d6d09de02e44e5530"),
     (["cft", "polar", "--mmax", "2000", "--emit", "figure-data"],
      "c9cd65fd69906caaf57c6d3a8ef9d7c485340caf9e6e56c4aac65163d67745ad"),
+    (["cft", "polar", "--mmax", "100000", "--emit", "figure-data"],
+     "700752c27b16bca2849817c6e9a91efc109abd966e502ca2d9f03331abbc532a"),
+    (["cft", "polar", "--mmax", "100000", "--emit", "cdf"],
+     "1daf7a941122d7ef937060bf5a97c8bbafe85f32b94e84d70b8f18a8d4743444"),
+    (["cft", "polar", "--mmax", "100000", "--emit", "histogram"],
+     "d983feadf6f0260c0f339582f9dc9b8500889e34b141377541006f65cf5807a0"),
 ])
 def test_polar_outputs_pinned(capsys, argv, sha256):
-    # full stdout recorded while the table and the figure data had separate scans
+    # full stdout recorded while the table and the figure data had separate
+    # scans (mmax 2000) and while P(m) came from a per-m divisor walk (10^5)
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
@@ -222,12 +229,14 @@ def test_polar_outputs_pinned(capsys, argv, sha256):
 def test_cft_polar_table_crosscheck_trips_on_bad_value(capsys, monkeypatch):
     from classforms import cftx
 
-    real = cftx.polar_count_formula
+    real = cftx.polar_count_sieve
 
-    def tampered(m, h_table, spf):
-        return real(m, h_table, spf) + (m == 37)
+    def tampered(mmax):
+        counts = real(mmax)
+        counts[36] += 1  # P(37)
+        return counts
 
-    monkeypatch.setattr(cftx, "polar_count_formula", tampered)
+    monkeypatch.setattr(cftx, "polar_count_sieve", tampered)
     rc = cli.main(["cft", "polar", "--mmax", "200", "--emit", "table"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -356,6 +365,8 @@ def test_usage_errors_exit_2(capsys):
         # n is checked before p(n) is asked for, so the message names n, not nmax
         (["singular-trace", "--n", "-2"], "n must be positive"),
         (["stats", "h-scan", "--N", "-5"], "N = -5"),
+        # eps is checked before the scan, which here has no fundamental discriminant
+        (["stats", "h-scan", "--N", "2", "--epsilon", "0.7"], "eps"),
     ]:
         assert cli.main(argv) == 2, argv
         assert name in capsys.readouterr().err, argv
