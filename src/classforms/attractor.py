@@ -17,7 +17,7 @@ from math import ceil, log, log10, pi
 
 from . import qseries
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
-from .rademacher import PrecisionError, _auto_order, _qabs, cm_root, q_expansion_sum
+from .rademacher import PrecisionError, _auto_order, _ln_q, cm_root, q_expansion_sum
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def hilbert_class_polynomial(D: int):
     h = len(forms)
     log10_size = sum(pi * (-D) ** 0.5 / (f.a * log(10)) for f in forms) + h * log10(2)
     digits = 15 + ceil(log10_size) + _EXTRA_DIGITS
-    order = _auto_order(_qabs(forms[-1]), -digits, 1)
+    order = _auto_order(_ln_q(forms[-1]), -digits, 1)
     jq = qseries.j_series(order)
     jc = [int(jq.coefficient(k)) for k in range(-1, order)]
     with mp.workdps(digits):

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 
 # Every layer module is imported here, tables too though no handler names it:
 # `import classforms.cli` then binds each one on the package, where
@@ -50,8 +51,7 @@ def _emit(args, command, parameters, results, provenance, t0):
         "provenance": provenance,
         "wall_time_ms": _fmt((time.monotonic() - t0) * 1000.0) if args.timing else None,
     }
-    json.dump(envelope, sys.stdout, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _emit_csv(header, rows, comment=None):
@@ -222,12 +222,11 @@ def _cmd_ecc_torsion(args, t0):
     q, n = args.q, args.n
     eccensus.check_torsion_modulus(q, n)
     rows = []
-    tmax = int((4 * q) ** 0.5)
+    tmax = isqrt(4 * q)
     for t in range(-tmax, tmax + 1):
-        try:
-            count = eccensus.torsion_class_count(q, t, n)
-        except ValueError:
+        if (t - q - 1) % (n * n):
             continue
+        count = eccensus.torsion_class_count(q, t, n)
         unweighted, weighted = eccensus.expected_torsion_count(q, t, n)
         rows.append({
             "q": q, "t": t, "n": n, "observed": count,

@@ -314,6 +314,8 @@ def delta_series(order: int) -> QSeries:
 
 def inverse_delta_series(order: int) -> QSeries:
     """1/Delta = q^-1 + 24 + 324 q + ...; valuation -1."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     return delta_series(order + 2).inverse()
 
 

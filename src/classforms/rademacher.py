@@ -1,6 +1,15 @@
 """Kloosterman sums, Bessel kernels, and Rademacher-type expansions.
 
-The c-sums here are truncated at params.cmax and evaluated with mpmath at a
+Every Rademacher sum here is the n-th coefficient of a weight-k Poincare
+series of index m, summed by one kernel, _poincare_partials:
+2 pi (n/|m|)^((k-1)/2) sum_{c<=C} K(m,n;c)/c B_{|k-1|}(4 pi sqrt(|m| n)/c),
+with B = J for m > 0 and B = I for m < 0.  The entry points fix (k, m):
+
+    1/Delta coefficients       (-12, -1)   I_13
+    r_{d,n} (principal q^-d)   (0, -d)     I_1
+    tau(n) beta                (12, 1)     J_11; beta - 1 is the n = 1 sum
+
+The sums are truncated at params.cmax and evaluated with mpmath at a
 configurable working precision.  Each Kloosterman sum is exact integer
 arithmetic up to one rounded root of unity per modulus: the residues are
 counted into bins mod c and weighted by a fixed-point cosine table whose
@@ -13,7 +22,7 @@ The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
 of forms of discriminant 1 - 24n.  That trace is an integer multiple of the
 partition number p(n), which is the acceptance check for all of it.  Its
-CM-point helpers (the root of a form, |q| there, the least truncation order
+CM-point helpers (the root of a form, ln|q| there, the least truncation order
 and the one tail-guarded q-expansion sum, a fixed-point Horner loop over
 Gaussian integers) also evaluate j for the class polynomials in attractor.
 
@@ -137,38 +146,38 @@ def _bessel_mpf(bessel, nu: int, x):
     return bessel(nu, x)
 
 
-def _kloosterman_bessel_partials(m: int, n: int, nu: int, bessel, prefactor, arg,
-                                 params: RademacherParams):
-    """prefactor * sum_{c<=C} K(m,n;c)/c bessel(nu, arg/c), C = 1..cmax.
+def _poincare_partials(k: int, m: int, n: int, params: RademacherParams):
+    """Partial sums C = 1..cmax of the n-th weight-k Poincare coefficient of index m.
 
-    bessel is mp.besseli or mp.besselj.  mpf values; the caller holds the
-    working precision, at which each Bessel value is evaluated.
+    2 pi (n/|m|)^((k-1)/2) sum_{c<=C} K(m,n;c)/c B_{|k-1|}(4 pi sqrt(|m| n)/c),
+    with B = J for m > 0 (the cusp form whose expansion starts at q^m) and
+    B = I for m < 0 (the form with principal part q^m).  mpf values at
+    params.precision_digits, at which each Bessel value is evaluated.
     """
     import mpmath as mp
 
-    partials = []
-    acc = mp.mpf(0)
-    for c in range(1, params.cmax + 1):
-        k = _kloosterman_mpf(m, n, c, params.precision_digits)
-        acc += k / c * _bessel_mpf(bessel, nu, arg / c)
-        partials.append(prefactor * acc)
-    return partials
+    bessel = mp.besselj if m > 0 else mp.besseli
+    with mp.workdps(params.precision_digits):
+        prefactor = 2 * mp.pi * (mp.mpf(n) / abs(m)) ** (mp.mpf(k - 1) / 2)
+        arg = 4 * mp.pi * mp.sqrt(mp.mpf(abs(m)) * n)
+        partials = []
+        acc = mp.mpf(0)
+        for c in range(1, params.cmax + 1):
+            kc = _kloosterman_mpf(m, n, c, params.precision_digits)
+            acc += kc / c * _bessel_mpf(bessel, abs(k - 1), arg / c)
+            partials.append(prefactor * acc)
+        return partials
 
 
 def rademacher_inv_delta_partials(n: int, params: RademacherParams):
     """Cumulative truncations of the 1/Delta coefficient sum, c = 1..cmax.
 
-    Returned as mpf values at the working precision so convergence is
-    observable beneath double-precision granularity.
+    Weight -12, index -1.  Returned as mpf values at the working precision
+    so convergence is observable beneath double-precision granularity.
     """
-    import mpmath as mp
-
     if n < 1:
         raise ValueError("n must be positive")
-    with mp.workdps(params.precision_digits):
-        prefactor = 2 * mp.pi / mp.mpf(n) ** mp.mpf("6.5")
-        arg = 4 * mp.pi * mp.sqrt(n)
-        return _kloosterman_bessel_partials(-1, n, 13, mp.besseli, prefactor, arg, params)
+    return _poincare_partials(-12, -1, n, params)
 
 
 def rademacher_inv_delta(n: int, params: RademacherParams = RademacherParams()) -> float:
@@ -178,16 +187,10 @@ def rademacher_inv_delta(n: int, params: RademacherParams = RademacherParams()) 
 
 def rademacher_tau_partials(n: int, params: RademacherParams):
     """Partial sums of the weight-12 coefficient sum, without the normalization
-    beta: 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c)."""
-    import mpmath as mp
-
+    beta: 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c), index 1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    with mp.workdps(params.precision_digits):
-        prefactor = 2 * mp.pi * mp.mpf(n) ** mp.mpf("5.5")
-        arg = 4 * mp.pi * mp.sqrt(n)
-        partials = _kloosterman_bessel_partials(1, n, 11, mp.besselj, prefactor, arg, params)
-    return [float(x) for x in partials]
+    return [float(x) for x in _poincare_partials(12, 1, n, params)]
 
 
 def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> float:
@@ -197,14 +200,13 @@ def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> flo
     + 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c); the cusp forms of
     weight 12 are the multiples of Delta, so P_1 = p(1) Delta and tau(n) =
     p(n)/p(1).  beta is p(1) = 1 + 2 pi sum K(1,1;c)/c J_11(4 pi/c), from
-    the same truncated sum as tau(n) and not fitted to any tau value.
+    the same truncated sum as tau(n) and not fitted to any tau value; the 1
+    is added at the working precision.
     """
     import mpmath as mp
 
     with mp.workdps(params.precision_digits):
-        partials = _kloosterman_bessel_partials(1, 1, 11, mp.besselj, 2 * mp.pi, 4 * mp.pi,
-                                                params)
-        return float(1 + partials[-1])
+        return float(1 + _poincare_partials(12, 1, 1, params)[-1])
 
 
 @lru_cache(maxsize=8)
@@ -219,16 +221,11 @@ def rademacher_tau(n: int, params: RademacherParams = RademacherParams(cmax=200)
 
 
 def rd_partials(d: int, n: int, params: RademacherParams):
-    """Partial sums of r_{d,n} = 2 pi sqrt(d/n) sum K(-d,n;c)/c I_1(4 pi sqrt(dn)/c)."""
-    import mpmath as mp
-
+    """Partial sums of r_{d,n} = 2 pi sqrt(d/n) sum K(-d,n;c)/c I_1(4 pi sqrt(dn)/c),
+    weight 0 and index -d."""
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
-    with mp.workdps(params.precision_digits):
-        prefactor = 2 * mp.pi * mp.sqrt(mp.mpf(d) / n)
-        arg = 4 * mp.pi * mp.sqrt(mp.mpf(d) * n)
-        partials = _kloosterman_bessel_partials(-d, n, 1, mp.besseli, prefactor, arg, params)
-    return [float(x) for x in partials]
+    return [float(x) for x in _poincare_partials(0, -d, n, params)]
 
 
 def rd_coefficient(d: int, n: int, params: RademacherParams = RademacherParams(cmax=200)) -> float:
@@ -366,11 +363,9 @@ def cm_root(f: Form, precision_digits: int):
         return mp.mpc(-b, mp.sqrt(-f.discriminant())) / (2 * a)
 
 
-def _qabs(f: Form) -> float:
-    """|q| = exp(-pi sqrt|D| / a) at the root of f."""
-    import mpmath as mp
-
-    return float(mp.e ** (-mp.pi * mp.sqrt(-f.discriminant()) / f.a))
+def _ln_q(f: Form) -> float:
+    """ln|q| = -pi sqrt|D| / a at the root of f; |q| itself can underflow a float."""
+    return -pi * sqrt(-f.discriminant()) / f.a
 
 
 def enumerate_QD(n: int):
@@ -422,14 +417,14 @@ def trace_singular_moduli(n: int, order: int | None = None,
     if precision_digits is not None and precision_digits < _MIN_DIGITS:
         raise ValueError(f"precision_digits must be at least {_MIN_DIGITS}")
     forms = enumerate_QD(n)
-    qabs_max = max(_qabs(f) for f in forms)
+    ln_q_max = max(_ln_q(f) for f in forms)
     if order is None:
-        order = _auto_order(qabs_max, -14.0, 6)
+        order = _auto_order(ln_q_max, -14.0, 6)
     g2 = _g2_coefficients(order)
     if precision_digits is None:
         # largest intermediate term sets the cancellation budget
         peak = max(
-            (abs(c).bit_length() * _LN2 if c else 0.0) + m * log(qabs_max)
+            (abs(c).bit_length() * _LN2 if c else 0.0) + m * ln_q_max
             for m, c in enumerate(g2, start=-1)
         )
         precision_digits = 30 + max(0, int(peak / log(10.0)) + 5)
@@ -445,17 +440,16 @@ def trace_singular_moduli(n: int, order: int | None = None,
 _MAX_ORDER = 40000
 
 
-def _auto_order(qabs: float, tail_log10: float, level: int) -> int:
-    """Least N with 4 pi sqrt(N / level) + (N - 1) ln|q| + ln N < tail_log10 ln 10.
+def _auto_order(ln_q: float, tail_log10: float, level: int) -> int:
+    """Least N with 4 pi sqrt(N / level) + (N - 1) ln_q + ln N < tail_log10 ln 10.
 
     4 pi sqrt(N / level) is the growth of ln|c_N| for a form with a simple
     pole at the cusp on Gamma0(level): j at level 1, 2G at level 6.  With
     the power of |q| and the ln N slack of _check_tail, the left side is
     that check's estimate of the tail, so the order returned passes it.
     """
-    ln_q = log(qabs)
     bound = tail_log10 * log(10.0)
     for n in range(1, _MAX_ORDER + 1):
         if 4 * pi * sqrt(n / level) + (n - 1) * ln_q + log(n) < bound:
             return n
-    raise PrecisionError(f"no workable truncation order for |q| = {qabs}")
+    raise PrecisionError(f"no workable truncation order for ln|q| = {ln_q}")

@@ -243,6 +243,6 @@ def test_hilbert_checks_each_root_tail(monkeypatch):
     # a truncation too short for the largest |q| is refused, not rounded
     from classforms.rademacher import PrecisionError
 
-    monkeypatch.setattr(at, "_auto_order", lambda qabs, tail_log10, level: 20)
+    monkeypatch.setattr(at, "_auto_order", lambda ln_q, tail_log10, level: 20)
     with pytest.raises(PrecisionError, match="truncation order 20"):
         at.hilbert_class_polynomial(-479)

@@ -159,6 +159,25 @@ def test_ecc_torsion_subcommand(capsys):
     assert rows[-1]["fractional"] is True
 
 
+def test_ecc_torsion_fault_in_a_row_is_not_skipped(capsys, monkeypatch):
+    # t = -1 is q + 1 mod 9 for q = 7: a fault there must fail the command,
+    # not drop its row
+    from classforms import eccensus
+
+    inner = eccensus.torsion_class_count
+
+    def faulty(q, t, n):
+        if t == -1:
+            raise ValueError("fault at t = -1")
+        return inner(q, t, n)
+
+    monkeypatch.setattr(eccensus, "torsion_class_count", faulty)
+    assert cli.main(["ecc", "torsion", "--q", "7", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fault at t = -1" in captured.err
+
+
 @pytest.mark.parametrize("q, n", [(7, 2), (7, 0), (11, 3), (100, 3)])
 def test_ecc_torsion_invalid_modulus_exits_2(capsys, q, n):
     # even or nonpositive n, q not 1 mod n, q not prime: rejected before any t
@@ -367,6 +386,8 @@ def test_usage_errors_exit_2(capsys):
         (["stats", "h-scan", "--N", "-5"], "N = -5"),
         # eps is checked before the scan, which here has no fundamental discriminant
         (["stats", "h-scan", "--N", "2", "--epsilon", "0.7"], "eps"),
+        # invdelta names its own bound, not that of the delta series it inverts
+        (["series", "invdelta", "--order", "-1"], "order must be nonnegative"),
     ]:
         assert cli.main(argv) == 2, argv
         assert name in capsys.readouterr().err, argv

@@ -6,7 +6,7 @@ import pytest
 
 from classforms import qseries as qs
 from classforms import rademacher as rd
-from classforms.quadforms import class_number, enumerate_reduced, reduce as reduce_form
+from classforms.quadforms import Form, class_number, enumerate_reduced, reduce as reduce_form
 from classforms.rademacher import PrecisionError, RademacherParams
 
 from conftest import (bessel_by_ascending_series, gamma0_equivalent, kloosterman_by_exponentials,
@@ -218,6 +218,49 @@ def test_beta_is_the_first_poincare_coefficient():
     assert rd.calibrate_beta(RademacherParams(cmax=30, precision_digits=30)) == float(want)
 
 
+def _textbook_partials(m, n, nu, signed, prefactor, arg, cmax, digits):
+    # prefactor * sum_{c <= C} K(m,n;c)/c B_nu(arg/c), C = 1..cmax, from the
+    # oracles; B is J when signed, else I; mpf values at digits
+    with mp.workdps(digits):
+        partials, total = [], mp.mpf(0)
+        for c in range(1, cmax + 1):
+            bessel = bessel_by_ascending_series(nu, arg / c, digits, signed=signed)
+            total += kloosterman_by_exponentials(m, n, c, digits) / c * bessel
+            partials.append(prefactor * total)
+        return partials
+
+
+def test_each_entry_point_is_its_textbook_sum():
+    # every partial sum C = 1..12 of the three public partials against the
+    # textbook Kloosterman-Bessel sum, with each function's own prefactor and
+    # argument written out, at 40 digits; r_{d,n} also pins the sign of the
+    # first Kloosterman argument, K(-d,n;c), which differs from K(d,n;c)
+    # only at c >= 2 (test_rd_head_term sees c = 1 alone)
+    params = RademacherParams(cmax=12, precision_digits=30)
+    digits = 40
+    with mp.workdps(digits):
+        pi_ = mp.pi
+        for n in (1, 2):
+            want = _textbook_partials(-1, n, 13, False, 2 * pi_ / mp.mpf(n) ** 6.5,
+                                      4 * pi_ * mp.sqrt(n), 12, digits)
+            got = rd.rademacher_inv_delta_partials(n, params)
+            assert len(got) == 12
+            for g, w in zip(got, want):
+                assert abs(g - w) <= mp.mpf(10) ** -25 * abs(w), (n, g, w)
+        for n in (2, 3):
+            want = _textbook_partials(1, n, 11, True, 2 * pi_ * mp.mpf(n) ** 5.5,
+                                      4 * pi_ * mp.sqrt(n), 12, digits)
+            got = rd.rademacher_tau_partials(n, params)
+            assert got == [pytest.approx(float(w), rel=1e-14) for w in want], n
+        for d, n in ((1, 1), (2, 3)):
+            args = (1, False, 2 * pi_ * mp.sqrt(mp.mpf(d) / n), 4 * pi_ * mp.sqrt(d * n), 12, digits)
+            want = _textbook_partials(-d, n, *args)
+            got = rd.rd_partials(d, n, params)
+            assert got == [pytest.approx(float(w), rel=1e-14) for w in want], (d, n)
+            flipped = _textbook_partials(d, n, *args)
+            assert got != [pytest.approx(float(w), rel=1e-12) for w in flipped], (d, n)
+
+
 def test_tau_at_large_index():
     # J_11 arguments reach 4 pi sqrt(100) ~ 126, far past the unguarded series' range
     value = rd.rademacher_tau(100, RademacherParams(cmax=200))
@@ -317,8 +360,8 @@ def test_horner_sum_matches_mpc_oracle_at_trace_points(monkeypatch):
                     assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (n, tau)
 
 
-def _criterion(n, qabs, tail_log10, level):
-    return 4 * pi * sqrt(n / level) + (n - 1) * log(qabs) + log(n) < tail_log10 * log(10.0)
+def _criterion(n, ln_q, tail_log10, level):
+    return 4 * pi * sqrt(n / level) + (n - 1) * ln_q + log(n) < tail_log10 * log(10.0)
 
 
 def test_auto_order_is_least_and_passes_the_tail_check():
@@ -327,17 +370,27 @@ def test_auto_order_is_least_and_passes_the_tail_check():
     # j at level 1, 2G at level 6, from tiny |q| up to the worst n = 30 point
     grid = (0.002, 0.005, 0.02, 0.08, 0.2, 0.4, 0.6, 0.75, 0.86)
     tails = (-14, -60, -200, -310)
-    orders = {(qabs, tail, level): rd._auto_order(qabs, tail, level)
+    orders = {(qabs, tail, level): rd._auto_order(log(qabs), tail, level)
               for qabs in grid for tail in tails for level in (1, 6)}
     j_order, g2_order = (max(n for key, n in orders.items() if key[2] == level) for level in (1, 6))
     jq = qs.j_series(j_order)
     coeffs = {1: [int(jq.coefficient(k)) for k in range(-1, j_order)],
               6: rd._g2_coefficients(g2_order)}
     for (qabs, tail, level), n in orders.items():
-        assert _criterion(n, qabs, tail, level), (qabs, tail, level, n)
-        assert not _criterion(n - 1, qabs, tail, level), (qabs, tail, level, n)
+        assert _criterion(n, log(qabs), tail, level), (qabs, tail, level, n)
+        assert not _criterion(n - 1, log(qabs), tail, level), (qabs, tail, level, n)
         tau = mp.mpc(0, -log(qabs) / (2 * pi))
         rd.q_expansion_sum(coeffs[level][:n + 1], tau, tail)
+
+
+def test_auto_order_where_abs_q_underflows_a_float():
+    # at a = 1 and D = -57003, |q| = exp(-pi sqrt(57003)) ~ 2e-326 is below
+    # the least double; the order comes from ln|q| and is still the least
+    ln_q = rd._ln_q(Form(1, 1, 14251))
+    assert ln_q == pytest.approx(-750.06, abs=0.01)
+    for level in (1, 6):
+        assert rd._auto_order(ln_q, -14.0, level) == 2
+        assert _criterion(2, ln_q, -14.0, level) and not _criterion(1, ln_q, -14.0, level)
 
 
 def test_enumerate_QD_n1_exact():
