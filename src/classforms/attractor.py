@@ -11,25 +11,19 @@ polynomials as the degree witness for the field generated by the modular
 invariant at the fixed points.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log, log10, pi
+from typing import NamedTuple
 
 from . import qseries
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
 from .rademacher import PrecisionError, _auto_order, _ln_q, cm_root, q_expansion_sum
 
 
-@dataclass(frozen=True)
-class ChargeInvariants:
+class ChargeInvariants(NamedTuple):
     p2: int
     pq: int
     q2: int
-
-    def __iter__(self):
-        yield self.p2
-        yield self.pq
-        yield self.q2
 
 
 def discriminant_of_charges(ci) -> int:
@@ -91,19 +85,23 @@ def metric_L():
     return L
 
 
-@dataclass(frozen=True)
-class ChargeVector:
+class _ChargeVectorFields(NamedTuple):
+    components: tuple
+
+
+class ChargeVector(_ChargeVectorFields):
     """12 rational components of a vector that carries an overall 1/sqrt2.
 
     Inner products pick up (1/sqrt2)^2 = 1/2 and therefore stay exact
     rationals.
     """
 
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) != 12:
+    def __new__(cls, components):
+        if len(components) != 12:
             raise ValueError("charge vectors have 12 components")
+        return super().__new__(cls, components)
 
 
 def charge_vector(*entries) -> ChargeVector:
@@ -151,8 +149,7 @@ def example_invariants(D: int):
 # --- two-by-two solution-generating elements --------------------------------
 
 
-@dataclass(frozen=True)
-class Matrix2x2:
+class Matrix2x2(NamedTuple):
     a: float
     b: float
     c: float

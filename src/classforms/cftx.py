@@ -74,7 +74,7 @@ def verify_zk_identity(k: int, cmax: int = 200, order: int = 6,
     (24m - 1) p(m).  Returns a dict with per-coefficient relative residuals
     and their maximum over q^1..q^5.
     """
-    from .rademacher import RademacherParams, rd_partials
+    from .rademacher import RademacherParams, _double, _poincare_partials
 
     if not 1 <= k <= 4:
         raise ValueError("identity verification is desk-scale: k between 1 and 4")
@@ -83,10 +83,10 @@ def verify_zk_identity(k: int, cmax: int = 200, order: int = 6,
     params = RademacherParams(cmax=cmax, precision_digits=precision_digits)
     zk = extremal_partition_function(k, order)
     nmax = min(5, order - 1)
-    r = {}
-    for d in range(1, k + 1):
-        for n in range(1, nmax + 1):
-            r[(d, n)] = rd_partials(d, n, params)[-1]
+    # every r_{d,n} of the identity from one pass over c (rd_partials' sum, batched)
+    pairs = [(d, n) for d in range(1, k + 1) for n in range(1, nmax + 1)]
+    sums = _poincare_partials(0, [(-d, n) for d, n in pairs], params)
+    r = {pair: _double(partials[-1]) for pair, partials in zip(pairs, sums)}
     p = qseries.partition_numbers(k)
     rows = []
     for n in range(1, nmax + 1):

@@ -15,8 +15,8 @@ the 2-torsion count, the form-to-ideal map, and the class-number statistics
 and growth-bound evaluations.
 """
 
-from dataclasses import dataclass
 from math import gcd, isqrt, log, pi, prod
+from typing import NamedTuple
 
 from . import tables
 from .arith import is_prime, prime_divisors, xgcd
@@ -110,8 +110,7 @@ def element_order(f) -> int:
     return len(_walk(f, class_number(f.discriminant())))
 
 
-@dataclass(frozen=True)
-class ClassGroupDescription:
+class ClassGroupDescription(NamedTuple):
     D: int
     representatives: tuple
     elementary_divisors: tuple
@@ -196,8 +195,7 @@ def two_torsion_order(D: int) -> int:
     return ambiguous_count(enumerate_reduced(D))
 
 
-@dataclass(frozen=True)
-class IdealDescription:
+class IdealDescription(NamedTuple):
     """The ideal (a, (-b + sqrt(D))/2) attached to the form [a,b,c]."""
 
     generator_a: int

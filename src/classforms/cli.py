@@ -51,7 +51,9 @@ def _emit(args, command, parameters, results, provenance, t0):
         "provenance": provenance,
         "wall_time_ms": _fmt((time.monotonic() - t0) * 1000.0) if args.timing else None,
     }
-    sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+    # Infinity and NaN are not JSON: json.dumps raises ValueError, which exits 2
+    text = json.dumps(envelope, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _emit_csv(header, rows, comment=None):

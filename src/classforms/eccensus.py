@@ -9,17 +9,16 @@ the square-divisor class-number sums: the census matches the unweighted
 for the discriminants -3 and -4 where the two differ.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import is_prime
 from .quadforms import hurwitz, kronecker_class_number
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     q: int
     a: int
     b: int
@@ -86,8 +85,7 @@ def isogeny_class_size(q: int, t: int) -> int:
     return sum(1 for c in enumerate_curves(q) if c.trace == t)
 
 
-@dataclass(frozen=True)
-class DeuringRow:
+class DeuringRow(NamedTuple):
     q: int
     t: int
     observed: int

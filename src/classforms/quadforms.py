@@ -7,24 +7,18 @@ one with weights 1/2 and 1/3 at discriminants -4 and -3, and the unweighted
 one used for curve counts).  Everything here is a pure function on values.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import divisors_from_factorization, factorization, is_squarefree
 
 
-@dataclass(frozen=True, order=True)
-class Form:
+class Form(NamedTuple):
     a: int
     b: int
     c: int
-
-    def __iter__(self):
-        yield self.a
-        yield self.b
-        yield self.c
 
     def __repr__(self):
         return f"[{self.a},{self.b},{self.c}]"

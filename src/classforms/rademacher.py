@@ -9,12 +9,17 @@ with B = J for m > 0 and B = I for m < 0.  The entry points fix (k, m):
     r_{d,n} (principal q^-d)   (0, -d)     I_1
     tau(n) beta                (12, 1)     J_11; beta - 1 is the n = 1 sum
 
-The sums are truncated at params.cmax and evaluated with mpmath at a
-configurable working precision.  Each Kloosterman sum is exact integer
-arithmetic up to one rounded root of unity per modulus: the residues are
-counted into bins mod c and weighted by a fixed-point cosine table whose
-bit count follows from a stated error bound.  The Bessel kernels are
-mpmath's I and J at the same working precision.  Every sum here converges
+The kernel takes a list of (m, n) pairs of one weight and walks c once for
+all of them, so cftx's identity check sums its k * 5 coefficients r_{d,n}
+in one pass: each modulus builds its units, their inverses, the root of
+unity and the cosine table once, and each c evaluates one Bessel value per
+distinct kind and |m| n.  The sums are truncated at params.cmax and
+evaluated with mpmath at a configurable working precision.  Each
+Kloosterman sum is exact integer arithmetic up to one rounded root of unity
+per modulus: the residues are counted into bins mod c and weighted by a
+fixed-point cosine table whose bit count follows from a stated error bound.
+J is mpmath's besselj; I is (x/2)^nu / nu! 0F1(nu + 1; x^2/4) from mpmath's
+0F1, both at the same working precision.  Every sum here converges
 absolutely, the weight-12 one too (its terms are O(c^-11.5)), so each is
 read off its last partial sum.
 
@@ -32,9 +37,10 @@ so a module-level import would make every command pay for mpmath at
 start-up; only the sums, CM-point values and class polynomials load it.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, gcd, log, log2, pi, sqrt
+from math import ceil, factorial, gcd, isinf, log, log2, pi, sqrt
+from operator import mul
+from typing import NamedTuple
 
 from .quadforms import Form, enumerate_reduced, reduce
 from . import qseries
@@ -50,16 +56,21 @@ class PrecisionError(ArithmeticError):
     """Requested tolerance cannot be met; carries the achieved residual."""
 
 
-@dataclass(frozen=True)
-class RademacherParams:
+class _Truncation(NamedTuple):
     cmax: int = 30
     precision_digits: int = 30
 
-    def __post_init__(self):
+
+class RademacherParams(_Truncation):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cmax < 1:
             raise ValueError("cmax must be at least 1")
         if self.precision_digits < _MIN_DIGITS:
             raise ValueError(f"precision_digits must be at least {_MIN_DIGITS}")
+        return self
 
 
 def kloosterman(m: int, n: int, c: int, precision_digits: int = 30) -> float:
@@ -76,30 +87,29 @@ def kloosterman(m: int, n: int, c: int, precision_digits: int = 30) -> float:
 
 
 def _kloosterman_mpf(m: int, n: int, c: int, precision_digits: int):
-    """K(m, n; c) as an mpf at precision_digits, from integer residue bins.
-
-    The bins meet a fixed-point table of cos(2 pi k/c) * 2^bits, k <= c/2,
-    built from one rounded root of unity by Gaussian-integer products
-    (the exponential-sum technique of Johansson, LMS J. Comput. Math. 2012).
-    The table is rebuilt on every call: caching it per modulus saved no time
-    on the Rademacher sums and raised their peak memory.
-    """
+    """K(m, n; c) as an mpf at precision_digits, from integer residue bins."""
     import mpmath as mp
 
     if c < 1:
         raise ValueError("modulus must be positive")
-    if c == 1:
-        return mp.mpf(1)
-    count = [0] * c
-    for d in range(1, c):
-        if gcd(d, c) == 1:
-            count[(m * pow(d, -1, c) + n * d) % c] += 1
-    for r in range(1, c // 2 + 1):
-        if count[r] != count[c - r]:
-            raise ArithmeticError(
-                f"K({m},{n};{c}) is not real: residues {r} and {c - r} "
-                f"occur {count[r]} and {count[c - r]} times"
-            )
+    with mp.workdps(precision_digits):
+        return _kloosterman_at(m, n, _modulus(c, precision_digits))
+
+
+def _modulus(c: int, precision_digits: int):
+    """What every Kloosterman sum mod c shares: (c, units, inverses, cos table, bits).
+
+    The units d mod c (d = 0 alone when c = 1) and their inverses, and a
+    fixed-point table of cos(2 pi k/c) * 2^bits, k <= c/2, built from one
+    rounded root of unity by Gaussian-integer products (the exponential-sum
+    technique of Johansson, LMS J. Comput. Math. 2012).  A Poincare sum
+    builds it once per c for all its (m, n); it is not cached across calls,
+    which saved no time on the Rademacher sums and raised their peak memory.
+    """
+    import mpmath as mp
+
+    units = [d for d in range(c) if gcd(d, c) == 1]
+    inverses = [pow(d, -1, c) for d in units]
     # Rounding omega costs under one unit of 2^-bits and each floored product
     # under two more, so the k-th power is off by under 3k <= 1.5c units;
     # phi(c) < c entries are summed, so the total stays below 1.5 c^2 units,
@@ -114,17 +124,42 @@ def _kloosterman_mpf(m: int, n: int, c: int, precision_digits: int):
     for _ in range(c // 2):
         z_re, z_im = (z_re * w_re - z_im * w_im) >> bits, (z_re * w_im + z_im * w_re) >> bits
         cos_table.append(z_re)
-    total = sum(k * cos_table[min(r, c - r)] for r, k in enumerate(count) if k)
-    with mp.workdps(precision_digits):
-        return mp.ldexp(mp.mpf(total), -bits)
+    return c, units, inverses, cos_table, bits
+
+
+def _kloosterman_at(m: int, n: int, modulus):
+    """K(m, n; c) from the shared table of _modulus, an mpf at the working precision.
+
+    The residues m dbar + n d are counted into bins mod c, the realness
+    check count[r] == count[c - r] is exact, and the dot product with the
+    cos table folds the two halves r and c - r into one term.
+    """
+    import mpmath as mp
+
+    c, units, inverses, cos_table, bits = modulus
+    count = [0] * c
+    for d, dbar in zip(units, inverses):
+        count[(m * dbar + n * d) % c] += 1
+    half = c // 2
+    # bins 1..c/2 against bins c-1 down to c - c/2, the partner of each
+    if count[1:half + 1] != count[:c - half - 1:-1]:
+        r = next(r for r in range(1, half + 1) if count[r] != count[c - r])
+        raise ArithmeticError(
+            f"K({m},{n};{c}) is not real: residues {r} and {c - r} "
+            f"occur {count[r]} and {count[c - r]} times"
+        )
+    total = count[0] * cos_table[0] + 2 * sum(map(mul, count[1:half + 1], cos_table[1:]))
+    if c % 2 == 0:
+        total -= count[half] * cos_table[half]  # r = c/2 is its own partner
+    return mp.ldexp(mp.mpf(total), -bits)
 
 
 def bessel_I(order: int, x, precision_digits: int = 30) -> float:
-    """Modified Bessel I_order(x), x > 0, from mpmath at precision_digits."""
+    """Modified Bessel I_order(x), x > 0, at precision_digits."""
     import mpmath as mp
 
     with mp.workdps(precision_digits):
-        return float(_bessel_mpf(mp.besseli, order, x))
+        return float(_bessel_mpf("I", order, x))
 
 
 def bessel_J(order: int, x, precision_digits: int = 30) -> float:
@@ -132,41 +167,68 @@ def bessel_J(order: int, x, precision_digits: int = 30) -> float:
     import mpmath as mp
 
     with mp.workdps(precision_digits):
-        return float(_bessel_mpf(mp.besselj, order, x))
+        return float(_bessel_mpf("J", order, x))
 
 
-def _bessel_mpf(bessel, nu: int, x):
-    """bessel(nu, x), for mp.besseli or mp.besselj, at the working precision."""
+def _bessel_mpf(kind: str, nu: int, x):
+    """I_nu(x) (kind "I") or J_nu(x) (kind "J") at the working precision.
+
+    I_nu(x) = (x/2)^nu / nu! 0F1(; nu + 1; x^2/4), from mpmath's 0F1 without
+    the hypercomb wrapper of mpmath's besseli, which costs four to six times as
+    much for the same digits; J is mp.besselj, fast at integer order.
+    """
+    import mpmath as mp
+
     if nu < 0:
         raise ValueError("order must be a nonnegative integer")
     if x <= 0:
         raise ValueError("argument must be positive")
     if x > 1e5:
         raise OverflowError("argument exceeds the configured evaluation range")
-    return bessel(nu, x)
+    if kind == "J":
+        return mp.besselj(nu, x)
+    half = mp.mpf(x) / 2
+    # x^2/4 exactly: 0F1 grows like exp(x), so rounding it would lose log2(x) bits
+    return half**nu / factorial(nu) * mp.hyp0f1(nu + 1, mp.fmul(half, half, exact=True))
 
 
-def _poincare_partials(k: int, m: int, n: int, params: RademacherParams):
-    """Partial sums C = 1..cmax of the n-th weight-k Poincare coefficient of index m.
+def _poincare_partials(k: int, pairs, params: RademacherParams):
+    """Partial sums C = 1..cmax of the n-th weight-k Poincare coefficient of index m,
+    one list per (m, n) in pairs.
 
     2 pi (n/|m|)^((k-1)/2) sum_{c<=C} K(m,n;c)/c B_{|k-1|}(4 pi sqrt(|m| n)/c),
     with B = J for m > 0 (the cusp form whose expansion starts at q^m) and
-    B = I for m < 0 (the form with principal part q^m).  mpf values at
+    B = I for m < 0 (the form with principal part q^m).  One pass over c:
+    each modulus builds its units, inverses and cos table once for every
+    pair, and one Bessel value per distinct kind and |m| n.  mpf values at
     params.precision_digits, at which each Bessel value is evaluated.
     """
     import mpmath as mp
 
-    bessel = mp.besselj if m > 0 else mp.besseli
+    nu = abs(k - 1)
     with mp.workdps(params.precision_digits):
-        prefactor = 2 * mp.pi * (mp.mpf(n) / abs(m)) ** (mp.mpf(k - 1) / 2)
-        arg = 4 * mp.pi * mp.sqrt(mp.mpf(abs(m)) * n)
-        partials = []
-        acc = mp.mpf(0)
+        keys = [("J" if m > 0 else "I", abs(m) * n) for m, n in pairs]
+        args = {key: 4 * mp.pi * mp.sqrt(mp.mpf(key[1])) for key in keys}
+        prefactors = [2 * mp.pi * (mp.mpf(n) / abs(m)) ** (mp.mpf(k - 1) / 2) for m, n in pairs]
+        accs = [mp.mpf(0)] * len(pairs)
+        partials = [[] for _ in pairs]
         for c in range(1, params.cmax + 1):
-            kc = _kloosterman_mpf(m, n, c, params.precision_digits)
-            acc += kc / c * _bessel_mpf(bessel, abs(k - 1), arg / c)
-            partials.append(prefactor * acc)
+            modulus = _modulus(c, params.precision_digits)
+            bessel = {key: _bessel_mpf(key[0], nu, arg / c) for key, arg in args.items()}
+            for i, (m, n) in enumerate(pairs):
+                accs[i] += _kloosterman_at(m, n, modulus) / c * bessel[keys[i]]
+                partials[i].append(prefactors[i] * accs[i])
         return partials
+
+
+def _double(x) -> float:
+    """x as a float; OverflowError when it lies beyond the double range."""
+    value = float(x)
+    if isinf(value):
+        import mpmath as mp
+
+        raise OverflowError(f"the coefficient {mp.nstr(x, 6)} exceeds the double range")
+    return value
 
 
 def rademacher_inv_delta_partials(n: int, params: RademacherParams):
@@ -177,12 +239,12 @@ def rademacher_inv_delta_partials(n: int, params: RademacherParams):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _poincare_partials(-12, -1, n, params)
+    return _poincare_partials(-12, [(-1, n)], params)[0]
 
 
 def rademacher_inv_delta(n: int, params: RademacherParams = RademacherParams()) -> float:
     """Truncated sum converging to the q^n coefficient of 1/Delta."""
-    return float(rademacher_inv_delta_partials(n, params)[-1])
+    return _double(rademacher_inv_delta_partials(n, params)[-1])
 
 
 def rademacher_tau_partials(n: int, params: RademacherParams):
@@ -190,7 +252,7 @@ def rademacher_tau_partials(n: int, params: RademacherParams):
     beta: 2 pi n^(11/2) sum K(1,n;c)/c J_11(4 pi sqrt(n)/c), index 1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return [float(x) for x in _poincare_partials(12, 1, n, params)]
+    return [_double(x) for x in _poincare_partials(12, [(1, n)], params)[0]]
 
 
 def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> float:
@@ -206,7 +268,7 @@ def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> flo
     import mpmath as mp
 
     with mp.workdps(params.precision_digits):
-        return float(1 + _poincare_partials(12, 1, 1, params)[-1])
+        return _double(1 + _poincare_partials(12, [(1, 1)], params)[0][-1])
 
 
 @lru_cache(maxsize=8)
@@ -225,7 +287,7 @@ def rd_partials(d: int, n: int, params: RademacherParams):
     weight 0 and index -d."""
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
-    return [float(x) for x in _poincare_partials(0, -d, n, params)]
+    return [_double(x) for x in _poincare_partials(0, [(-d, n)], params)[0]]
 
 
 def rd_coefficient(d: int, n: int, params: RademacherParams = RademacherParams(cmax=200)) -> float:

@@ -56,6 +56,25 @@ def test_verify_zk_identity_k3():
         cftx.verify_zk_identity(5)
 
 
+def test_verify_zk_identity_rows_are_the_per_pair_sums():
+    # the one batched pass over c gives each r_{d,n} the float rd_partials gives
+    from classforms.rademacher import RademacherParams, rd_partials
+
+    params = RademacherParams(cmax=60)
+    for k in range(1, 5):
+        p = qs.partition_numbers(k)
+        for row in cftx.verify_zk_identity(k, cmax=60)["rows"]:
+            n = row["n"]
+
+            def r(d):
+                return rd_partials(d, n, params)[-1] if d >= 1 else 0.0
+
+            approx = r(k) - r(k - 1)
+            for m in range(1, k):
+                approx += p[m] * (r(k - m) - r(k - m - 1))
+            assert row["expansion"] == approx, (k, n)
+
+
 def test_jacobi_dim_examples():
     assert cftx.jacobi_dim(1) == 1
     assert cftx.jacobi_dim(12) == 19

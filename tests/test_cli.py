@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -388,12 +389,25 @@ def test_usage_errors_exit_2(capsys):
         (["stats", "h-scan", "--N", "2", "--epsilon", "0.7"], "eps"),
         # invdelta names its own bound, not that of the delta series it inverts
         (["series", "invdelta", "--order", "-1"], "order must be nonnegative"),
+        # a sum past the double range is refused, not printed as Infinity
+        (["rademacher", "rd", "--d", "1", "--n", "4000", "--cmax", "2"],
+         "exceeds the double range"),
+        (["rademacher", "invdelta", "--n", "3800", "--cmax", "2"], "exceeds the double range"),
     ]:
         assert cli.main(argv) == 2, argv
         assert name in capsys.readouterr().err, argv
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_emit_refuses_infinity_and_nan(capsys):
+    # neither is JSON; the envelope is refused (exit 2) instead of printed
+    args = argparse.Namespace(timing=False)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cli._emit(args, "test", {}, {"value": bad}, "test", 0.0)
+    assert capsys.readouterr().out == ""
 
 
 def test_float_formatting_is_12_significant_digits(capsys):

@@ -35,11 +35,12 @@ COMMANDS = NEITHER + MPMATH_ONLY
 CHILD = """
 import contextlib, importlib.util, io, json, sys
 
-def loaded():
-    return sorted(m for m in ("numpy", "mpmath") if m in sys.modules)
+def loaded(names=("numpy", "mpmath")):
+    return sorted(m for m in names if m in sys.modules)
 
 import classforms.cli
-report = {"import": loaded(), "unresolved": [], "commands": []}
+report = {"import": loaded(), "records": loaded(("dataclasses", "inspect")),
+          "unresolved": [], "commands": []}
 
 spec = importlib.util.spec_from_file_location("traced_child", sys.argv[1])
 harness = importlib.util.module_from_spec(spec)
@@ -80,6 +81,12 @@ def _libraries_after(report, argv):
 
 def test_import_cli_loads_neither_library(child_report):
     assert child_report["import"] == []
+
+
+def test_import_cli_loads_neither_dataclasses_nor_inspect(child_report):
+    # the records are NamedTuples; importing dataclasses (and with it
+    # inspect) cost about 20 ms in every process
+    assert child_report["records"] == []
 
 
 def test_import_cli_binds_every_traced_layer_on_the_package(child_report):

@@ -120,16 +120,29 @@ def test_bessel_matches_ascending_series_oracle():
     reached = [(nu, 4 * mp.pi * mp.sqrt(dn) / c)
                for nu, dns in ((1, (1, 4, 12, 15)), (11, (2, 3, 6, 100)), (13, (1, 5, 10)))
                for dn in dns for c in (1, 2, 3, 7, 40, 199, 400)]
-    kernels = [(mp.besseli, rd.bessel_I, False), (mp.besselj, rd.bessel_J, True)]
+    kernels = [("I", rd.bessel_I, False), ("J", rd.bessel_J, True)]
     cases = [(nu, x, kernel) for nu, x in small + reached for kernel in kernels]
     cases += [(11, x, kernels[1]) for x in (100.0, 200.0, 1000.0)]
     for digits in (30, 40):
         with mp.workdps(digits):
-            for nu, x, (bessel, public, signed) in cases:
+            for nu, x, (kind, public, signed) in cases:
                 want = bessel_by_ascending_series(nu, x, digits, signed)
-                got = rd._bessel_mpf(bessel, nu, x)
+                got = rd._bessel_mpf(kind, nu, x)
                 assert abs(got - want) <= mp.mpf(10) ** (2 - digits) * max(1, abs(want)), (nu, x)
                 assert public(nu, x, digits) == pytest.approx(float(want), rel=1e-15)
+
+
+def test_bessel_I_from_0F1_matches_besseli_to_working_precision():
+    # (x/2)^nu / nu! 0F1(nu + 1, x^2/4) at 30 digits against mpmath's besseli
+    # at 60: I grows like e^x, so x^2/4 must not be rounded (at x = 12345.6
+    # that alone costs 1e-28)
+    for nu in (0, 1, 2, 13):
+        for x in (0.1, 1.0, 22.0, 62.8, 795.3, 12345.6, 99999.0):
+            with mp.workdps(30):
+                got = rd._bessel_mpf("I", nu, x)
+            with mp.workdps(60):
+                want = mp.besseli(nu, x)
+                assert abs(got - want) <= mp.mpf(10) ** -30 * want, (nu, x)
 
 
 def test_bessel_recurrences_at_large_arguments():
@@ -138,11 +151,11 @@ def test_bessel_recurrences_at_large_arguments():
     with mp.workdps(digits):
         tol = mp.mpf(10) ** (2 - digits)
         for x in (mp.mpf(20000), mp.mpf(99999)):
-            j10, j11, j12 = (rd._bessel_mpf(mp.besselj, nu, x) for nu in (10, 11, 12))
+            j10, j11, j12 = (rd._bessel_mpf("J", nu, x) for nu in (10, 11, 12))
             assert abs(j10 + j12 - 22 / x * j11) <= tol * (abs(j10) + abs(j12))
             # leading asymptotics: J_11^2 + J_12^2 ~ 2 / (pi x), I_0 ~ e^x (1 + 1/8x) / sqrt(2 pi x)
             assert abs((j11**2 + j12**2) * mp.pi * x / 2 - 1) < 1e-3
-            i0, i1, i2 = (rd._bessel_mpf(mp.besseli, nu, x) for nu in (0, 1, 2))
+            i0, i1, i2 = (rd._bessel_mpf("I", nu, x) for nu in (0, 1, 2))
             assert abs(i0 - i2 - 2 / x * i1) <= tol * (i0 + i2)
             assert abs(i0 * mp.sqrt(2 * mp.pi * x) / mp.exp(x) / (1 + 1 / (8 * x)) - 1) < 1e-9
 
@@ -277,6 +290,82 @@ def test_rd_head_term():
         # the head term is symmetric in (d, n) up to the sqrt(d/n) prefactor
         other = rd.rd_coefficient(n, d, params)
         assert head * n == pytest.approx(other * d, rel=1e-9)
+
+
+def _principal_part_functions(dmax, nmax):
+    # J_d = q^-d + O(q) for d <= dmax, exact through q^nmax: the polynomial in
+    # J_1 = j - 744 whose polar part is q^-d and whose constant term is 0
+    j1 = qs.j_series(nmax + dmax + 1) - 744
+    funcs = {}
+    for d in range(1, dmax + 1):
+        f = j1**d
+        for e in range(1, d):
+            f = f - funcs[e] * f.coefficient(-e)
+        funcs[d] = f - f.coefficient(0)
+        assert [funcs[d].coefficient(e) for e in range(-d, 1)] == [1] + [0] * d
+    return funcs
+
+
+def test_rd_coefficient_is_the_coefficient_of_its_modular_function():
+    # r_{d,n} is the q^n coefficient of J_d; at cmax 400 the worst of
+    # d <= 3, n <= 5 is (1, 1), 3.8e-9 relative
+    funcs = _principal_part_functions(3, 5)
+    assert funcs[1].coefficient(1) == 196884 and funcs[2].coefficient(1) == 42987520
+    params = RademacherParams(cmax=400)
+    for d in (1, 2, 3):
+        for n in range(1, 6):
+            exact = int(funcs[d].coefficient(n))
+            assert abs(rd.rd_coefficient(d, n, params) - exact) < 1e-8 * exact, (d, n)
+
+
+def test_batched_pairs_equal_single_pair_sums():
+    # one pass over c for several (m, n) gives each pair the same mpf
+    # partials as a pass of its own, for the J kind and for the I kind with
+    # pairs that share |m| n (and so one Bessel value per c)
+    params = RademacherParams(cmax=30, precision_digits=30)
+    for k, pairs in ((12, [(1, 1), (1, 2), (1, 3), (2, 3)]),
+                     (0, [(-1, 4), (-2, 2), (-4, 1), (-3, 5)])):
+        batched = rd._poincare_partials(k, pairs, params)
+        assert batched == [rd._poincare_partials(k, [pair], params)[0] for pair in pairs], k
+
+
+def test_corrupted_shared_inverse_fails_the_batch(monkeypatch):
+    # the units and inverses mod c are built once for every pair; a wrong
+    # inverse breaks the d, -d pairing of each pair's residues
+    table = rd._modulus
+
+    def corrupted(c, digits):
+        c_, units, inverses, cos_table, bits = table(c, digits)
+        if c == 7:
+            inverses = [inverses[0], inverses[2]] + inverses[2:]
+        return c_, units, inverses, cos_table, bits
+
+    monkeypatch.setattr(rd, "_modulus", corrupted)
+    with pytest.raises(ArithmeticError, match=r"K\(-1,1;7\) is not real"):
+        rd._poincare_partials(0, [(-1, 1), (-2, 3)], RademacherParams(cmax=10))
+
+
+def test_kloosterman_bins_fold_exactly():
+    # the folded dot product against the unfolded one, for every c <= 60:
+    # count[0] cos 0 + 2 sum_{0 < r < c/2} count[r] cos(2 pi r/c) (+ the c/2 bin)
+    for c in range(1, 61):
+        modulus = rd._modulus(c, 30)
+        _, units, inverses, cos_table, bits = modulus
+        for m, n in ((1, 1), (-3, 4), (0, 0), (5, -2)):
+            count = [0] * c
+            for d, dbar in zip(units, inverses):
+                count[(m * dbar + n * d) % c] += 1
+            total = sum(k * cos_table[min(r, c - r)] for r, k in enumerate(count))
+            with mp.workdps(30):
+                assert rd._kloosterman_at(m, n, modulus) == mp.ldexp(mp.mpf(total), -bits)
+
+
+def test_coefficient_past_the_double_range_raises_overflow():
+    params = RademacherParams(cmax=2)
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        rd.rd_coefficient(1, 4000, params)
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        rd.rademacher_inv_delta(3800, params)
 
 
 # --- the level-6 pair and its CM points ----------------------------------------
