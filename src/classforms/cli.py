@@ -57,17 +57,24 @@ def _emit(args, command, parameters, results, provenance, t0):
 
 
 def _emit_csv(header, rows, comment=None):
+    """Write header and rows as CSV: floats (numpy's included) as %.12g, other cells by str."""
     if comment:
         sys.stdout.write(f"# {comment}\n")
     sys.stdout.write(header + "\n")
+    sys.stdout.writelines(_csv_lines(rows))
+
+
+def _csv_lines(rows):
+    """One line per row, from one %-template per sequence of cell types."""
+    templates = {}
     for row in rows:
-        sys.stdout.write(",".join(_csv_cell(x) for x in row) + "\n")
-
-
-def _csv_cell(x):
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            cells = ("%.12g" if issubclass(t, float) else "%s" for t in types)
+            template = templates[types] = ",".join(cells) + "\n"
+        yield template % row
 
 
 def _disc(args) -> int:

@@ -1,11 +1,15 @@
-"""Bulk tables over discriminant ranges, built with strided numpy updates.
+"""Bulk tables over discriminant ranges, built with dense numpy sweeps.
 
 The per-discriminant functions in quadforms cost O(|D|) each (enumeration
 visits about |D|/6 pairs (a, b) with a <= sqrt(|D|/3)), which is fine
 pointwise but hopeless for scans up to 10^6.  Here the whole family of
-reduced forms below a bound is swept once: a reduced form [a,b,c] contributes
-to |D| = 4ac - b^2, and for fixed (a, b) the discriminants form an arithmetic
-progression in c, so each (a, b) pair is one strided slice-add.
+reduced forms below a bound is swept once.  A reduced form [a,b,c]
+contributes to |D| = 4ac - b^2 = 4k + r with r = 0 for even b and r = 3 for
+odd b, and k = ac - (b^2 + r)/4.  For fixed a every b of one class r is
+periodic in k with period a.  So each (a, r) is one small block of counts,
+indexed by (k // a, k % a) and added to the int32 array of class r viewed
+with width a; the block's last row is then added to every row below it.
+That is two dense adds per a for each class, not one numpy call per (a, b).
 
 Array indices are |D| (so index 84 holds data for D = -84).  Entries at
 indices with |D| % 4 not in {0, 3} are zero.
@@ -27,27 +31,59 @@ from math import gcd, isqrt
 from .arith import divisors_from_factorization  # noqa: F401  (re-exported for scans)
 
 
+# At one |D| = n each a <= sqrt(n/3) has at most 2a + 1 reduced forms (one per b),
+# so a count is at most n/3 + 2 sqrt(n/3) + 1, below 2^31 for every n up to here.
+_INT32_LIMIT = 6 * 10**9
+
+
 @lru_cache(maxsize=4)
 def reduced_form_counts(limit: int) -> np.ndarray:
-    """counts[n] = number of reduced forms (primitive or not) with |D| = n <= limit."""
+    """counts[n] = number of reduced forms (primitive or not) with |D| = n <= limit.
+
+    The sweep runs in int32 and raises ValueError for limit > 6*10^9, past which
+    a count could overflow it.
+    """
     import numpy as np
 
+    if limit > _INT32_LIMIT:
+        raise ValueError(f"limit = {limit} exceeds {_INT32_LIMIT}, where int32 counts could overflow")
     counts = np.zeros(limit + 1, dtype=np.int64)
     amax = isqrt(limit // 3)
-    for a in range(1, amax + 1):
-        step = 4 * a
-        # strictly a < c, with -a < b <= a; b and -b both reduced when 0 < b < a
-        for b in range(0, a + 1):
-            mult = 2 if 0 < b < a else 1
-            start = 4 * a * (a + 1) - b * b
-            if start <= limit:
-                counts[start: limit + 1: step] += mult
-        # a = c boundary: 0 <= b <= a, each once
-        for b in range(0, a + 1):
-            n = 4 * a * a - b * b
-            if n <= limit:
-                counts[n] += 1
+    for r in (0, 3):
+        size = len(counts[r::4])
+        # amax slack: each a reshapes the first ceil(size / a) * a entries
+        acc = np.zeros(size + amax, dtype=np.int32)
+        for a in range(1, amax + 1):
+            top, block = _period_block(a, r)
+            view = acc[: -(-size // a) * a].reshape(-1, a)
+            if top < len(view):
+                stop = min(len(view), top + len(block))
+                view[top:stop] += block[: stop - top]
+                view[stop:] += block[-1]
+        counts[r::4] = acc[:size]
     return counts
+
+
+def _period_block(a: int, r: int):
+    """(top, block): the reduced forms [a, b, c] with 4ac - b^2 = 4k + r, by k.
+
+    With s = (b^2 + r) / 4, k = ac - s, so in a width-a array k sits at row
+    k // a and column k % a, and each further c moves it one row down.
+    block[i, j] counts the forms at row top + i, column j; its last row holds
+    for every row below it.
+    """
+    import numpy as np
+
+    b = np.arange(r // 3, a + 1, 2)  # b^2 = -r (mod 4)
+    k = a * a - (b * b + r) // 4  # the forms [a, b, a]
+    top = int(k[-1]) // a
+    block = np.zeros((int(k[0]) // a - top + 2, a), dtype=np.int32)
+    flat = block.reshape(-1)
+    k -= top * a
+    flat[k] = 1  # c = a: 0 <= b <= a, each once
+    flat[k + a] += (0 < b) & (b < a)  # c > a: -b is reduced too when 0 < b < a
+    np.cumsum(block, axis=0, dtype=np.int32, out=block)
+    return top, block
 
 
 @lru_cache(maxsize=8)
@@ -96,17 +132,19 @@ def squarefree_mask(limit: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def fundamental_mask(limit: int) -> np.ndarray:
-    """mask[n] true iff -n is a fundamental discriminant, n <= limit."""
+    """mask[n] true iff -n is a fundamental discriminant, n <= limit.
+
+    That is n = 3 (mod 4) squarefree, or n = 4m with m = 1, 2 (mod 4)
+    squarefree, i.e. n = 4, 8 (mod 16) read off m = 1, 2 (mod 4).
+    """
     import numpy as np
 
     sf = squarefree_mask(limit)
-    n = np.arange(limit + 1)
     mask = np.zeros(limit + 1, dtype=bool)
-    mask[n % 4 == 3] = sf[n % 4 == 3]
-    idx4 = n[(n % 4 == 0) & (n >= 4)]
-    quarters = idx4 // 4
-    ok = sf[quarters] & np.isin(quarters % 4, (1, 2))
-    mask[idx4] = ok
+    mask[3::4] = sf[3::4]
+    for n0, m0 in ((4, 1), (8, 2)):
+        out = mask[n0::16]
+        out[:] = sf[m0::4][: len(out)]
     return mask
 
 

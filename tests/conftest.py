@@ -9,7 +9,9 @@ the pentagonal-number recurrence, level-6 representatives by a windowed
 search over coprime pairs and level-6 equivalence by a bounded matrix
 search, Kloosterman sums by one mpmath exponential per unit, Bessel I and J
 by their ascending series, q-expansions at CM points term by term in mpc,
-point counts by a direct (x, y) scan.
+point counts by a direct (x, y) scan, reduced-form counts by one strided add
+per (a, b), fundamental discriminants by residues of n and n / 4, CSV lines
+cell by cell.
 """
 
 import random
@@ -471,3 +473,52 @@ def naive_point_count(q: int, a: int, b: int) -> int:
             if y * y % q == rhs:
                 count += 1
     return count
+
+
+# --- strided reduced-form counting oracle ---------------------------------------
+
+
+def reduced_form_counts_strided(limit):
+    """counts[n] = number of reduced forms with |D| = n <= limit: for fixed
+    (a, b) the |D| = 4ac - b^2 over c > a form one arithmetic progression, added
+    as one strided slice, and the a = c boundary is added form by form."""
+    import numpy as np
+
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    amax = isqrt(limit // 3)
+    for a in range(1, amax + 1):
+        step = 4 * a
+        # strictly a < c, with -a < b <= a; b and -b both reduced when 0 < b < a
+        for b in range(0, a + 1):
+            mult = 2 if 0 < b < a else 1
+            start = 4 * a * (a + 1) - b * b
+            if start <= limit:
+                counts[start: limit + 1: step] += mult
+        # a = c boundary: 0 <= b <= a, each once
+        for b in range(0, a + 1):
+            n = 4 * a * a - b * b
+            if n <= limit:
+                counts[n] += 1
+    return counts
+
+
+def fundamental_mask_by_residues(limit, squarefree):
+    """mask[n] iff -n is fundamental, from the residues of every n and n / 4 and
+    a squarefree mask of length limit + 1."""
+    import numpy as np
+
+    n = np.arange(limit + 1)
+    mask = np.zeros(limit + 1, dtype=bool)
+    mask[n % 4 == 3] = squarefree[n % 4 == 3]
+    idx4 = n[(n % 4 == 0) & (n >= 4)]
+    quarters = idx4 // 4
+    mask[idx4] = squarefree[quarters] & np.isin(quarters % 4, (1, 2))
+    return mask
+
+
+# --- cell-by-cell CSV oracle ------------------------------------------------------
+
+
+def csv_line_by_cells(row):
+    """One CSV line: each float (numpy's included) as %.12g, anything else by str."""
+    return ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row) + "\n"

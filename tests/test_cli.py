@@ -4,7 +4,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import csv_line_by_cells
 
 from classforms import cli
 
@@ -414,3 +416,16 @@ def test_float_formatting_is_12_significant_digits(capsys):
     rc, env, out = run_json(capsys, ["bh", "classify", "-20"])
     entropy = env["results"]["entropy"]
     assert entropy == float(f"{math.pi * math.sqrt(20):.12g}")
+
+
+def test_csv_rows_match_cell_by_cell_formatting(capsys):
+    # every cell type a scan emits, and rows whose types change partway through
+    # the stream, so each new type sequence must get its own template
+    mixed = (1, np.int64(-7), 0.1, np.float64(2.0 / 3.0), True, np.bool_(False),
+             math.inf, -math.inf, math.nan, np.float64(-0.0), 1e-300, np.float32(0.1),
+             2**70, "s")
+    rows = [mixed, (1, 0.5), (np.int64(2), 0.25), (3, np.float64(1e21)), (4, 5),
+            [5, 6.0], (), (6, 0.5), mixed[::-1]]
+    cli._emit_csv("x,y", iter(rows), comment="c = 1")
+    out = capsys.readouterr().out
+    assert out == "# c = 1\nx,y\n" + "".join(csv_line_by_cells(row) for row in rows)

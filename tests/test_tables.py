@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from conftest import fundamental_mask_by_residues, reduced_form_counts_strided
 
 from classforms import arith
 from classforms import classgroup as cg
@@ -23,13 +25,43 @@ def test_reduced_form_counts_match_full_enumeration():
         assert int(counts[n]) == expected, n
 
 
+def test_reduced_form_counts_match_strided_sweep_at_every_small_limit():
+    # a count at n does not depend on the limit, so one oracle sweep serves every
+    # prefix; each limit ends the period-a blocks at a different row and column
+    want = reduced_form_counts_strided(2500)
+    for limit in range(0, 2501):
+        got = tables.reduced_form_counts.__wrapped__(limit)
+        assert got.dtype == np.int64 and len(got) == limit + 1, limit
+        assert np.array_equal(got, want[: limit + 1]), limit
+
+
+@pytest.mark.parametrize("limit", [10**5, 10**5 + 1, 10**5 + 2, 10**5 + 3, 120000, 1003999])
+def test_reduced_form_counts_match_strided_sweep_at_large_limits(limit):
+    got = tables.reduced_form_counts.__wrapped__(limit)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reduced_form_counts_strided(limit))
+
+
+def test_reduced_form_counts_refuse_limits_past_int32():
+    # the limit is checked before any array is allocated
+    with pytest.raises(ValueError, match="int32"):
+        tables.reduced_form_counts.__wrapped__(6 * 10**9 + 1)
+
+
 def test_fundamental_mask_matches_pointwise():
-    mask = tables.fundamental_mask(800)
-    for n in range(3, 801):
+    mask = tables.fundamental_mask(5000)
+    assert len(mask) == 5001 and not mask[:3].any()
+    for n in range(3, 5001):
         if n % 4 in (0, 3):
             assert bool(mask[n]) == qf.is_fundamental(-n), n
         else:
             assert not mask[n]
+
+
+@pytest.mark.parametrize("limit", list(range(0, 40)) + [10**6])
+def test_fundamental_mask_matches_residue_route(limit):
+    got = tables.fundamental_mask.__wrapped__(limit)
+    assert np.array_equal(got, fundamental_mask_by_residues(limit, tables.squarefree_mask(limit)))
 
 
 def test_squarefree_and_omega():
