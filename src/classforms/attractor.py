@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import ceil, log, log10, pi
 from typing import NamedTuple
 
-from . import qseries
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
-from .rademacher import PrecisionError, _auto_order, _ln_q, cm_root, q_expansion_sum
+from .rademacher import PrecisionError, _pentagonal_sums, _q_at, cm_root
 
 
 class ChargeInvariants(NamedTuple):
@@ -241,22 +240,32 @@ def attractor_tau(f) -> complex:
 _EXTRA_DIGITS = 10
 
 
+def _j_at(tau):
+    """Klein's j at tau as an eta quotient, an mpc at the working precision.
+
+    j = (256 f + 1)^3 / f with f = Delta(2 tau)/Delta(tau) = q (S(q^2)/S(q))^24,
+    S = prod (1 - q^n) the pentagonal sum; q stays an mpmath float, so j keeps
+    its relative precision however small |q| is.
+    """
+    q, ln_q = _q_at(tau)
+    f = q * (_pentagonal_sums(q, ln_q, 2, 1)[0] / _pentagonal_sums(q, ln_q, 1, 1)[0]) ** 24
+    return (256 * f + 1) ** 3 / f
+
+
 def hilbert_class_polynomial(D: int):
     """Monic integer polynomial with roots j(tau_Q), one per reduced class.
 
-    Coefficients are computed numerically from the q-expansion of j at each
-    fixed point and rounded; the rounding residual must stay below 1e-4 or a
-    PrecisionError reports the residual reached and the digits used.
-    Returns the coefficient list [c_0, ..., c_{h-1}, 1] (degree h(D)).
+    Coefficients are computed numerically from j at each fixed point and
+    rounded; the rounding residual must stay below 1e-4 or a PrecisionError
+    reports the residual reached and the digits used.  Returns the
+    coefficient list [c_0, ..., c_{h-1}, 1] (degree h(D)).
 
     The working precision covers the largest coefficient: |j(tau_f)| is
     about exp(pi sqrt|D| / a_f), and no coefficient exceeds 2^h times the
     product of the max(1, |j(tau_f)|) (Enge, Math. Comp. 2009), so the budget is
     15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + _EXTRA_DIGITS.
-    The truncation order of j is the least one at which the level-1 growth
-    model puts the tail at the largest |q| (the form with the largest a)
-    below 10^-digits, and every root's tail is checked against that bound
-    before its fixed-point sum is taken.
+    Each root, from _j_at, is good to a few units of the working precision
+    relative to |j|, so the coefficients are off by under h 10^-digits times that bound.
     """
     import mpmath as mp
 
@@ -266,23 +275,16 @@ def hilbert_class_polynomial(D: int):
     h = len(forms)
     log10_size = sum(pi * (-D) ** 0.5 / (f.a * log(10)) for f in forms) + h * log10(2)
     digits = 15 + ceil(log10_size) + _EXTRA_DIGITS
-    order = _auto_order(_ln_q(forms[-1]), -digits, 1)
-    jq = qseries.j_series(order)
-    jc = [int(jq.coefficient(k)) for k in range(-1, order)]
     with mp.workdps(digits):
-        roots = [q_expansion_sum(jc, cm_root(f, digits), -digits) for f in forms]
+        roots = [_j_at(cm_root(f, digits)) for f in forms]
         # expand prod (X - root) with complex arithmetic, then round
         coeffs = [mp.mpc(1)]
         for r in roots:
             coeffs = [mp.mpc(0)] + coeffs
             for i in range(len(coeffs) - 1):
                 coeffs[i] -= r * coeffs[i + 1]
-        rounded = []
-        residual = mp.mpf(0)
-        for c in coeffs:
-            n = mp.nint(c.real)
-            residual = max(residual, abs(c - n))
-            rounded.append(int(n))
+        rounded = [int(mp.nint(c.real)) for c in coeffs]
+        residual = max(abs(c - n) for c, n in zip(coeffs, rounded))
     if residual > 1e-4:
         raise PrecisionError(
             f"class polynomial rounding residual {float(residual):.3e} at {digits} digits"

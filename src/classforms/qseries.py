@@ -156,20 +156,6 @@ class QSeries:
             i += 1
         return QSeries(self.valuation + i, self.coeffs[i:], self.truncation_order)
 
-    def substitute_power(self, m, order):
-        """The series in q^m (exponents scaled by m), truncated at `order`."""
-        data = {}
-        for i, c in enumerate(self.coeffs):
-            e = (self.valuation + i) * m
-            if e < order and c:
-                data[e] = c
-        if self.truncation_order * m < order:
-            raise ValueError("input series is too short for the requested order")
-        out = QSeries.from_dict(data, order)
-        if not out.coeffs:
-            return QSeries(0, [0] * order, order)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # the exact kernel: Kronecker substitution over decimal, Newton inversion

@@ -128,8 +128,9 @@ def _check_disc(D: int):
 def enumerate_reduced(D: int, primitive_only: bool = True):
     """All reduced forms of discriminant D < 0, sorted by (a, b, c).
 
-    3a^2 <= |D| bounds the search, so the scan terminates.  By default only
-    primitive forms are listed (their count is the class number h(D)); with
+    3a^2 <= |D| bounds the scan, which runs over increasing a, then b, and
+    (a, b) fix c, so the list comes out sorted.  By default only primitive
+    forms are listed (their count is the class number h(D)); with
     primitive_only=False imprimitive forms are included as well, which is
     the population the weighted class-number sum counts.
     """
@@ -153,7 +154,6 @@ def enumerate_reduced(D: int, primitive_only: bool = True):
             if primitive_only and gcd(gcd(a, b), c) != 1:
                 continue
             forms.append(Form(a, b, c))
-    forms.sort(key=lambda f: (f.a, f.b, f.c))
     return forms
 
 

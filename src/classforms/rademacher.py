@@ -9,41 +9,38 @@ with B = J for m > 0 and B = I for m < 0.  The entry points fix (k, m):
     r_{d,n} (principal q^-d)   (0, -d)     I_1
     tau(n) beta                (12, 1)     J_11; beta - 1 is the n = 1 sum
 
-The kernel takes a list of (m, n) pairs of one weight and walks c once for
-all of them, so cftx's identity check sums its k * 5 coefficients r_{d,n}
-in one pass: each modulus builds its units, their inverses, the root of
-unity and the cosine table once, and each c evaluates one Bessel value per
-distinct kind and |m| n.  The sums are truncated at params.cmax and
-evaluated with mpmath at a configurable working precision.  Each
-Kloosterman sum is exact integer arithmetic up to one rounded root of unity
-per modulus: the residues are counted into bins mod c and weighted by a
-fixed-point cosine table whose bit count follows from a stated error bound.
-J is mpmath's besselj; I is (x/2)^nu / nu! 0F1(nu + 1; x^2/4) from mpmath's
-0F1, both at the same working precision.  Every sum here converges
-absolutely, the weight-12 one too (its terms are O(c^-11.5)), so each is
-read off its last partial sum.
+The kernel walks c once for a list of (m, n) pairs of one weight, so cftx's
+identity check and `rademacher tau` take one pass: each modulus builds its
+units, their inverses and one fixed-point cosine table (stated error bound),
+against which the Kloosterman sums are exact integer residue bins, and each
+c evaluates one Bessel value per distinct kind and |m| n: J from mpmath's
+besselj, I as (x/2)^nu / nu! 0F1(nu + 1; x^2/4).  Every sum converges
+absolutely (the weight-12 terms are O(c^-11.5)) and is read off its last
+partial sum at params.cmax.
 
 The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
 of forms of discriminant 1 - 24n.  That trace is an integer multiple of the
-partition number p(n), which is the acceptance check for all of it.  Its
-CM-point helpers (the root of a form, ln|q| there, the least truncation order
-and the one tail-guarded q-expansion sum, a fixed-point Horner loop over
-Gaussian integers) also evaluate j for the class polynomials in attractor.
+partition number p(n), which is the acceptance check for all of it.  G and
+P are eta quotients and their derivatives, so one kernel, _pentagonal_sums,
+gives every CM value: T_i = sum (-1)^j e_j^i x^(e_j) over the generalized
+pentagonal numbers e_j at x = q^k, which has O(sqrt N) terms up to x^N.  It
+runs in fixed point over Gaussian integers, stops each sum at its own |q|
+once a stated tail bound is below the working precision, and raises
+PrecisionError when an explicit order cuts it first.  G and P take T_0, T_1
+and T_2 at q, q^2, q^3, q^6; attractor takes T_0 at q and q^2 for j.
 
-mpmath is imported inside each function that uses it, not at module level.
-Every command is a fresh process, and attractor and cli import this module,
-so a module-level import would make every command pay for mpmath at
-start-up; only the sums, CM-point values and class polynomials load it.
+mpmath is imported inside each function that uses it: every command is a
+fresh process, so only the sums, CM-point values and class polynomials pay
+for loading it.
 """
 
-from functools import lru_cache
-from math import ceil, factorial, gcd, isinf, log, log2, pi, sqrt
+from itertools import count
+from math import ceil, exp, expm1, factorial, gcd, isinf, log, log1p, log2, pi, sqrt
 from operator import mul
 from typing import NamedTuple
 
 from .quadforms import Form, enumerate_reduced, reduce
-from . import qseries
 
 _LN2 = log(2.0)
 
@@ -271,15 +268,22 @@ def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> flo
         return _double(1 + _poincare_partials(12, [(1, 1)], params)[0][-1])
 
 
-@lru_cache(maxsize=8)
-def _beta_cached(cmax: int, precision_digits: int) -> float:
-    return calibrate_beta(RademacherParams(cmax, precision_digits))
+def rademacher_tau_with_beta(n: int, params: RademacherParams = RademacherParams(cmax=200)):
+    """(tau(n), beta): the truncated weight-12 sum for tau(n), n >= 2, over beta,
+    with both sums from one pass over c."""
+    import mpmath as mp
+
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    with mp.workdps(params.precision_digits):
+        beta_sums, tau_sums = _poincare_partials(12, [(1, 1), (1, n)], params)
+        beta = _double(1 + beta_sums[-1])
+    return _double(tau_sums[-1]) / beta, beta
 
 
 def rademacher_tau(n: int, params: RademacherParams = RademacherParams(cmax=200)) -> float:
     """Truncated weight-12 Rademacher sum for tau(n), n >= 2, over beta."""
-    beta = _beta_cached(params.cmax, params.precision_digits)
-    return rademacher_tau_partials(n, params)[-1] / beta
+    return rademacher_tau_with_beta(n, params)[0]
 
 
 def rd_partials(d: int, n: int, params: RademacherParams):
@@ -300,120 +304,146 @@ def rd_coefficient(d: int, n: int, params: RademacherParams = RademacherParams(c
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _g2_coefficients(order: int):
-    """Integer coefficients of 2*G from exponent -1 up to `order` (exclusive).
+def _pentagonal():
+    """(e_j, (-1)^j) for j = 1, -1, 2, -2, ...: e_j = j(3j - 1)/2 past e_0 = 0, increasing."""
+    for j in count(1):
+        sign = -1 if j % 2 else 1
+        yield j * (3 * j - 1) // 2, sign
+        yield j * (3 * j + 1) // 2, sign
 
-    G = (1/2) (E2(q) - 2 E2(q^2) - 3 E2(q^3) + 6 E2(q^6)) / (eta-quotient of
-    squares at levels 1,2,3,6), and the eta quotient contributes exactly q^1
-    times an integer series with unit leading coefficient, so 2G has integer
-    coefficients starting at q^-1.
+
+def _ln_tail_bound(m: int, ln_x: float) -> float:
+    """ln of m^2 r^m (1 + r)/(1 - r)^3 >= sum_{e >= m} e^2 r^e, r = e^ln_x (which
+    may underflow): at e = m + i, e^2 <= m^2 (1 + i)^2, summed to (1 + r)/(1 - r)^3."""
+    return 2 * log(m) + m * ln_x + log1p(exp(ln_x)) - 3 * log(-expm1(ln_x))
+
+
+def _pentagonal_last(ln_x: float, prec: int, limit: int | None = None):
+    """Largest exponent the pentagonal sums keep at |x| = e^ln_x and prec bits, the
+    one before the least e_j with tail bound below 2^-prec; None if e_j >= limit."""
+    last = 0
+    for e, _ in _pentagonal():
+        if _ln_tail_bound(e, ln_x) < -prec * _LN2:
+            return last
+        if limit is not None and e >= limit:
+            return None
+        last = e
+
+
+def _pentagonal_sums(q, ln_q: float, k: int, weights: int, order: int | None = None):
+    """[T_0, ..., T_{weights-1}] at x = q^k, mpc values at the working precision.
+
+    T_i(x) = sum over j in Z of (-1)^j e_j^i x^(e_j), e_j = j(3j - 1)/2: T_0 is
+    prod (1 - x^n) (pentagonal-number theorem), T_1 = x T_0' and T_2 = x T_1'.
+    q is an mpc and ln_q = ln|q| a float, from _q_at.  As e^i <= e^2, the
+    tail from exponent m on is below m^2 r^m (1 + r)/(1 - r)^3, r = |x|
+    (_ln_tail_bound); each sum stops at the least e_j where that is below
+    2^-prec.  An explicit order caps the sums at k e < order, and
+    PrecisionError reports the bound left at the cap if it stops a sum first.
+
+    The sums are 1 + O(x), so they run in fixed point, where absolute error is
+    relative error; q stays an mpmath float.  x is rounded once to Gaussian
+    integers at scale 2^B, and each x^e is one floored product from the last,
+    by x^(2j - 1) or x^j, themselves stepped by x^2 and x.  A floored product
+    of values below 1 in modulus adds sqrt(2) units of 2^-B to its factors'
+    errors, so x^e is off by < 3e units and T_i by < 3 last^4: B's guard bits.
     """
-    n = order + 1
-    e2 = qseries.eisenstein_E2(n)
-    num = (
-        e2
-        - 2 * e2.substitute_power(2, n)
-        - 3 * e2.substitute_power(3, n)
-        + 6 * e2.substitute_power(6, n)
-    )
-    den = qseries.euler_product(n)
-    for m in (2, 3, 6):
-        den = den * qseries.euler_product((n + m - 1) // m).substitute_power(m, n)
-    den = den * den
-    series = num * den.inverse()
-    return [int(series.coefficient(k)) for k in range(0, order + 1)]  # exponent k-1
+    import mpmath as mp
+
+    ln_x = k * ln_q
+    limit = None if order is None else -(-order // k)  # k e < order
+    last = _pentagonal_last(ln_x, mp.mp.prec, limit)
+    if last is None:
+        tail = _ln_tail_bound(limit, ln_x) / log(10.0)
+        raise PrecisionError(f"truncation order {order} leaves tail ~1e{tail:.0f} at "
+                             f"|q|={exp(ln_q):.4f}: the q^{k} sum is cut at exponent {limit}")
+    bits = mp.mp.prec + (3 * last**4).bit_length() + 2
+    with mp.workprec(bits + 10):
+        x = mp.mpc(q) ** k
+        x = (int(mp.nint(mp.ldexp(x.real, bits))), int(mp.nint(mp.ldexp(x.imag, bits))))
+
+    def mul(a, b):
+        return ((a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits)
+
+    odd, power, t = x, x, (1 << bits, 0)  # x^(2j - 1) and x^j at j = 1, x^0
+    x2 = mul(x, x)
+    sums = [[1 << bits, 0]] + [[0, 0] for _ in range(weights - 1)]
+    for i, (e, sign) in enumerate(_pentagonal()):
+        if e > last:
+            break
+        if i % 2 == 0:  # e_j - e_{-(j-1)} = 2j - 1
+            t, odd = mul(t, odd), mul(odd, x2)
+        else:  # e_{-j} - e_j = j
+            t, power = mul(t, power), mul(power, x)
+        w = sign
+        for acc in sums:
+            acc[0] += w * t[0]
+            acc[1] += w * t[1]
+            w *= e
+    return [mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits)) for re, im in sums]
+
+
+def _q_at(tau):
+    """q = exp(2 pi i tau), an mpc at the working precision, and ln|q| = -2 pi Im tau
+    as a float, which stays finite where |q| underflows one."""
+    import mpmath as mp
+
+    tau = mp.mpc(tau)
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    return mp.expjpi(2 * tau), float(-2 * mp.pi * tau.imag)
+
+
+def _g_and_dg(tau, order: int | None):
+    """G(tau) and DG = q dG/dq at the working precision, mpc values.
+
+    For k = 1, 2, 3, 6 the sums at x = q^k give E2(k tau) = 1 + 24 T_1/T_0 and
+    D E2(k tau) = 24 k (T_2/T_0 - (T_1/T_0)^2).  With the squared eta quotient
+    W = q prod_k T_0(q^k)^2 and N = E2(tau) - 2 E2(2 tau) - 3 E2(3 tau) + 6 E2(6 tau),
+    G = N/(2W) and DG = DN/(2W) - G sum_k k E2(k tau)/12, as D log W is that sum.
+    """
+    q, ln_q = _q_at(tau)
+    w, n, dn, dlog_w = q, 0, 0, 0
+    for k, c in ((1, 1), (2, -2), (3, -3), (6, 6)):
+        t0, t1, t2 = _pentagonal_sums(q, ln_q, k, 3, order)
+        ratio = t1 / t0
+        e2 = 1 + 24 * ratio
+        n += c * e2
+        dn += c * 24 * k * (t2 / t0 - ratio * ratio)
+        dlog_w += k * e2
+        w *= t0 * t0
+    g = n / (2 * w)
+    return g, dn / (2 * w) - g * dlog_w / 12
 
 
 def eval_G(tau, order: int = 400, precision_digits: int = 40):
-    """Value of G at tau (upper half-plane) from its q-expansion."""
+    """G at tau (upper half-plane) as a complex; `order` caps the sums at q^order."""
     import mpmath as mp
 
     with mp.workdps(precision_digits):
-        return complex(q_expansion_sum(_g2_coefficients(order), tau) / 2)
+        return complex(_g_and_dg(tau, order)[0])
 
 
 def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
-    """The weight-0 completion at tau: -(sum of m g_m q^m) - G(tau)/(2 pi Im tau).
+    """The weight-0 completion -DG(tau) - G(tau)/(2 pi Im tau), DG = q dG/dq, a float.
 
-    The weighted sum is a second q-expansion sum, over the coefficients
-    m g_m.  Real when the class of tau is its own inverse; a residual
-    imaginary part above 1e-8 relative raises PrecisionError.  Values at a
-    general CM point come in conjugate pairs (use eval_P_complex), and only
-    their sum over a full discriminant is real.
+    Real when the class of tau is its own inverse; an imaginary part above 1e-8
+    relative raises PrecisionError.  Values at a general CM point come in
+    conjugate pairs (use eval_P_complex); only their sum over a discriminant is real.
     """
-    val = eval_P_complex(tau, order, precision_digits)
-    re, im = val.real, val.imag
-    if abs(im) > 1e-8 * max(1.0, abs(re)):
-        raise PrecisionError(f"P(tau) has imaginary residual {im}")
-    return re
+    val = complex(eval_P_complex(tau, order, precision_digits))
+    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
+        raise PrecisionError(f"P(tau) has imaginary residual {val.imag}")
+    return val.real
 
 
 def eval_P_complex(tau, order: int = 400, precision_digits: int = 40):
-    """The weight-0 completion without the realness assertion."""
+    """The weight-0 completion without the realness assertion, an mpc at precision_digits."""
     import mpmath as mp
 
-    g2 = _g2_coefficients(order)
     with mp.workdps(precision_digits):
-        g_val = q_expansion_sum(g2, tau) / 2
-        dg_val = q_expansion_sum([m * c for m, c in enumerate(g2, start=-1)], tau) / 2
-        total = -dg_val - g_val / (2 * mp.pi * mp.mpc(tau).imag)
-        return complex(total)
-
-
-def q_expansion_sum(coeffs, tau, tail_log10: float = -9.0):
-    """sum c_m q^m at q = exp(2 pi i tau), c_m = coeffs[m + 1], m >= -1.
-
-    The one q-expansion sum at CM points: G and P sum the coefficients of
-    2G (and, for P, m times them) with it, class polynomials those of j.
-    Raises PrecisionError when the truncation tail is not below
-    10^tail_log10; returns an mpc at the caller's working precision.
-
-    Fixed-point Horner over Gaussian integers (Enge, Math. Comp. 2009):
-    with B = working bits + bit_length(len(coeffs)) + 16, q is rounded once
-    to the integer pair (Re q, Im q) * 2^B, and S <- c_m 2^B + ((S q) >> B)
-    runs from the top coefficient down to m = 0; c_{-1}/q is added last.
-    Each step floors both parts, an error under sqrt(2) units of 2^-B that
-    later steps multiply by |q|, so the floors add up to less than
-    sqrt(2) 2^-B / (1 - |q|).  Rounding q moves the sum by at most
-    2^-B sum m |c_m| |q|^(m-1), which the working precision, sized by the
-    caller for the largest term, has to cover.
-    """
-    import mpmath as mp
-
-    if not _im_positive(tau):
-        raise ValueError("tau must lie in the upper half-plane")
-    bits = mp.mp.prec + len(coeffs).bit_length() + 16
-    with mp.workprec(bits + 10):
-        q = mp.expjpi(2 * mp.mpc(tau))
-        q_re = int(mp.nint(mp.ldexp(q.real, bits)))
-        q_im = int(mp.nint(mp.ldexp(q.imag, bits)))
-    _check_tail(coeffs, abs(q), tail_log10)
-    s_re = s_im = 0
-    for c in reversed(coeffs[1:]):
-        s_re, s_im = ((c << bits) + ((s_re * q_re - s_im * q_im) >> bits),
-                      (s_re * q_im + s_im * q_re) >> bits)
-    return mp.mpc(mp.ldexp(s_re, -bits), mp.ldexp(s_im, -bits)) + coeffs[0] / q
-
-
-def _check_tail(coeffs, qabs, tail_log10: float):
-    import mpmath as mp
-
-    # log-scale estimate: the last kept term, with a factor `order` of slack;
-    # ln|q| comes from mpmath, since |q| itself can underflow a float
-    order = len(coeffs) - 1
-    c = abs(coeffs[-1])
-    log10_tail = (
-        (c.bit_length() * _LN2 if c else -1e9) + (order - 1) * float(mp.log(qabs)) + log(order)
-    ) / log(10.0)
-    if log10_tail > tail_log10:
-        raise PrecisionError(
-            f"truncation order {order} leaves tail ~1e{log10_tail:.0f} at |q|={float(qabs):.4f}"
-        )
-
-
-def _im_positive(tau) -> bool:
-    return complex(tau).imag > 0
+        g, dg = _g_and_dg(tau, order)
+        return -dg - g / (2 * mp.pi * mp.mpc(tau).imag)
 
 
 def cm_root(f: Form, precision_digits: int):
@@ -423,11 +453,6 @@ def cm_root(f: Form, precision_digits: int):
     a, b, _ = f
     with mp.workdps(precision_digits):
         return mp.mpc(-b, mp.sqrt(-f.discriminant())) / (2 * a)
-
-
-def _ln_q(f: Form) -> float:
-    """ln|q| = -pi sqrt|D| / a at the root of f; |q| itself can underflow a float."""
-    return -pi * sqrt(-f.discriminant()) / f.a
 
 
 def enumerate_QD(n: int):
@@ -461,57 +486,43 @@ def enumerate_QD(n: int):
     return reps
 
 
-def trace_singular_moduli(n: int, order: int | None = None,
-                          precision_digits: int | None = None) -> float:
-    """Sum of P over the level-6 CM points of discriminant 1 - 24n.
+class SingularTrace(NamedTuple):
+    value: float  # the sum of the points' P as doubles, in list order
+    working_sum: object  # the same sum at the working precision, an mpc
 
-    Converges to (24n - 1) p(n) as order and precision grow.  The default
-    order is the least one at which the level-6 growth model puts the tail
-    at the lowest CM point (largest |q|) below 1e-14, and the default digits
-    cover the largest term there.  Individual summands are complex (conjugate-paired across inverse
-    classes); only the full sum is real, and that realness is asserted to
-    1e-8.  PrecisionError carries the residual when the tolerance is missed.
-    An explicit order must be at least 1 and an explicit precision at least
-    15 digits, the floor RademacherParams applies.
+
+def trace_singular_moduli(n: int, order: int | None = None,
+                          precision_digits: int | None = None) -> SingularTrace:
+    """Sum of P over the level-6 CM points of discriminant 1 - 24n, (24n - 1) p(n),
+    in doubles and at the working precision.
+
+    The default digits cover the largest term of 2G's expansion at the lowest
+    point (largest |q|): its coefficients grow like exp(4 pi sqrt(m/6)), so the
+    terms peak at exp(2 pi^2 / (3 |ln q|)).  Each point's sums stop at their
+    own tail bound; the default order is the least that lets the lowest
+    point's finish, and an explicit one (>= 1) caps them all.  The summands
+    are conjugate-paired across inverse classes, and the sum's realness is
+    asserted to 1e-8.
     """
+    import mpmath as mp
+
     if order is not None and order < 1:
         raise ValueError("order must be at least 1")
     if precision_digits is not None and precision_digits < _MIN_DIGITS:
         raise ValueError(f"precision_digits must be at least {_MIN_DIGITS}")
     forms = enumerate_QD(n)
-    ln_q_max = max(_ln_q(f) for f in forms)
-    if order is None:
-        order = _auto_order(ln_q_max, -14.0, 6)
-    g2 = _g2_coefficients(order)
+    lowest = max(forms, key=lambda f: f.a)  # |q| = exp(-pi sqrt|D| / a) is largest there
     if precision_digits is None:
-        # largest intermediate term sets the cancellation budget
-        peak = max(
-            (abs(c).bit_length() * _LN2 if c else 0.0) + m * ln_q_max
-            for m, c in enumerate(g2, start=-1)
-        )
+        peak = 2 * pi * lowest.a / (3 * sqrt(24 * n - 1))
         precision_digits = 30 + max(0, int(peak / log(10.0)) + 5)
-    total = complex(0)
-    for f in forms:
-        total += eval_P_complex(cm_root(f, precision_digits), order, precision_digits)
+    with mp.workdps(precision_digits):
+        if order is None:
+            ln_q = _q_at(cm_root(lowest, precision_digits))[1]
+            order = 1 + max(k * _pentagonal_last(k * ln_q, mp.mp.prec) for k in (1, 2, 3, 6))
+        values = [eval_P_complex(cm_root(f, precision_digits), order, precision_digits)
+                  for f in forms]
+        working_sum = mp.fsum(values)
+    total = sum(map(complex, values))
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise PrecisionError(f"trace has imaginary residual {total.imag}")
-    return total.real
-
-
-# largest truncation order _auto_order returns
-_MAX_ORDER = 40000
-
-
-def _auto_order(ln_q: float, tail_log10: float, level: int) -> int:
-    """Least N with 4 pi sqrt(N / level) + (N - 1) ln_q + ln N < tail_log10 ln 10.
-
-    4 pi sqrt(N / level) is the growth of ln|c_N| for a form with a simple
-    pole at the cusp on Gamma0(level): j at level 1, 2G at level 6.  With
-    the power of |q| and the ln N slack of _check_tail, the left side is
-    that check's estimate of the tail, so the order returned passes it.
-    """
-    bound = tail_log10 * log(10.0)
-    for n in range(1, _MAX_ORDER + 1):
-        if 4 * pi * sqrt(n / level) + (n - 1) * ln_q + log(n) < bound:
-            return n
-    raise PrecisionError(f"no workable truncation order for ln|q| = {ln_q}")
+    return SingularTrace(total.real, working_sum)

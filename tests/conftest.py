@@ -8,19 +8,23 @@ schoolbook double loop and the term-by-term recurrence, partition numbers by
 the pentagonal-number recurrence, level-6 representatives by a windowed
 search over coprime pairs and level-6 equivalence by a bounded matrix
 search, Kloosterman sums by one mpmath exponential per unit, Bessel I and J
-by their ascending series, q-expansions at CM points term by term in mpc,
+by their ascending series, P and j at CM points from their dense
+q-expansions by a fixed-point Horner sum, and that sum term by term in mpc,
 point counts by a direct (x, y) scan, reduced-form counts by one strided add
 per (a, b), fundamental discriminants by residues of n and n / 4, CSV lines
 cell by cell.
 """
 
 import random
-from math import ceil, gcd, isqrt, log
+from functools import lru_cache
+from math import ceil, gcd, isqrt, log, pi, sqrt
 
 import mpmath as mp
 import pytest
 
+from classforms import qseries
 from classforms.quadforms import Form
+from classforms.rademacher import PrecisionError
 
 
 def xgcd(a, b):
@@ -459,6 +463,131 @@ def q_expansion_sums_by_mpc(coeffs, tau):
             dtotal += m * c * qpow
         qpow *= q
     return total, dtotal
+
+
+# --- the dense q-expansion route at CM points ------------------------------------
+#
+# How rademacher and attractor evaluated P and j before the pentagonal sums:
+# exact coefficients of 2G or j to a truncation order chosen from the level's
+# coefficient growth, summed at q by a fixed-point Horner loop whose tail is
+# estimated from the last coefficient kept.
+
+
+def substitute_power(series, m, order):
+    """The series in q^m (exponents scaled by m), truncated at `order`."""
+    if series.truncation_order * m < order:
+        raise ValueError("input series is too short for the requested order")
+    data = {}
+    for i, c in enumerate(series.coeffs):
+        e = (series.valuation + i) * m
+        if e < order and c:
+            data[e] = c
+    out = qseries.QSeries.from_dict(data, order)
+    return out if out.coeffs else qseries.QSeries(0, [0] * order, order)
+
+
+@lru_cache(maxsize=4)
+def g2_coefficients(order: int):
+    """Integer coefficients of 2*G from exponent -1 up to `order` (exclusive).
+
+    G = (1/2) (E2(q) - 2 E2(q^2) - 3 E2(q^3) + 6 E2(q^6)) / (eta-quotient of
+    squares at levels 1,2,3,6), and the eta quotient contributes exactly q^1
+    times an integer series with unit leading coefficient, so 2G has integer
+    coefficients starting at q^-1.
+    """
+    n = order + 1
+    e2 = qseries.eisenstein_E2(n)
+    num = (
+        e2
+        - 2 * substitute_power(e2, 2, n)
+        - 3 * substitute_power(e2, 3, n)
+        + 6 * substitute_power(e2, 6, n)
+    )
+    den = qseries.euler_product(n)
+    for m in (2, 3, 6):
+        den = den * substitute_power(qseries.euler_product((n + m - 1) // m), m, n)
+    den = den * den
+    series = num * den.inverse()
+    return [int(series.coefficient(k)) for k in range(0, order + 1)]  # exponent k-1
+
+
+def q_expansion_sum(coeffs, tau, tail_log10: float = -9.0):
+    """sum c_m q^m at q = exp(2 pi i tau), c_m = coeffs[m + 1], m >= -1.
+
+    Raises PrecisionError when the truncation tail is not below
+    10^tail_log10; returns an mpc at the caller's working precision.
+
+    Fixed-point Horner over Gaussian integers (Enge, Math. Comp. 2009):
+    with B = working bits + bit_length(len(coeffs)) + 16, q is rounded once
+    to the integer pair (Re q, Im q) * 2^B, and S <- c_m 2^B + ((S q) >> B)
+    runs from the top coefficient down to m = 0; c_{-1}/q is added last.
+    Each step floors both parts, an error under sqrt(2) units of 2^-B that
+    later steps multiply by |q|, so the floors add up to less than
+    sqrt(2) 2^-B / (1 - |q|).  Rounding q moves the sum by at most
+    2^-B sum m |c_m| |q|^(m-1), which the working precision, sized by the
+    caller for the largest term, has to cover.
+    """
+    if not complex(tau).imag > 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    bits = mp.mp.prec + len(coeffs).bit_length() + 16
+    with mp.workprec(bits + 10):
+        q = mp.expjpi(2 * mp.mpc(tau))
+        q_re = int(mp.nint(mp.ldexp(q.real, bits)))
+        q_im = int(mp.nint(mp.ldexp(q.imag, bits)))
+    _check_tail(coeffs, abs(q), tail_log10)
+    s_re = s_im = 0
+    for c in reversed(coeffs[1:]):
+        s_re, s_im = ((c << bits) + ((s_re * q_re - s_im * q_im) >> bits),
+                      (s_re * q_im + s_im * q_re) >> bits)
+    return mp.mpc(mp.ldexp(s_re, -bits), mp.ldexp(s_im, -bits)) + coeffs[0] / q
+
+
+def _check_tail(coeffs, qabs, tail_log10: float):
+    # log-scale estimate: the last kept term, with a factor `order` of slack;
+    # ln|q| comes from mpmath, since |q| itself can underflow a float
+    order = len(coeffs) - 1
+    c = abs(coeffs[-1])
+    log10_tail = (
+        (c.bit_length() * log(2.0) if c else -1e9) + (order - 1) * float(mp.log(qabs)) + log(order)
+    ) / log(10.0)
+    if log10_tail > tail_log10:
+        raise PrecisionError(
+            f"truncation order {order} leaves tail ~1e{log10_tail:.0f} at |q|={float(qabs):.4f}"
+        )
+
+
+# largest truncation order auto_order returns
+MAX_ORDER = 40000
+
+
+def auto_order(ln_q: float, tail_log10: float, level: int) -> int:
+    """Least N with 4 pi sqrt(N / level) + (N - 1) ln_q + ln N < tail_log10 ln 10.
+
+    4 pi sqrt(N / level) is the growth of ln|c_N| for a form with a simple
+    pole at the cusp on Gamma0(level): j at level 1, 2G at level 6.  With
+    the power of |q| and the ln N slack of _check_tail, the left side is
+    that check's estimate of the tail, so the order returned passes it.
+    """
+    bound = tail_log10 * log(10.0)
+    for n in range(1, MAX_ORDER + 1):
+        if 4 * pi * sqrt(n / level) + (n - 1) * ln_q + log(n) < bound:
+            return n
+    raise PrecisionError(f"no workable truncation order for ln|q| = {ln_q}")
+
+
+def P_by_horner(tau, g2, tail_log10=-9.0):
+    """-DG(tau) - G(tau)/(2 pi Im tau) from the coefficients g2 of 2G (from
+    g2_coefficients), an mpc at the caller's working precision."""
+    g = q_expansion_sum(g2, tau, tail_log10) / 2
+    dg = q_expansion_sum([m * c for m, c in enumerate(g2, start=-1)], tau, tail_log10) / 2
+    return -dg - g / (2 * mp.pi * mp.mpc(tau).imag)
+
+
+@lru_cache(maxsize=4)
+def j_coefficients(order: int):
+    """The coefficients of j from q^-1 up to q^(order - 1)."""
+    jq = qseries.j_series(order)
+    return [int(jq.coefficient(k)) for k in range(-1, order)]
 
 
 # --- direct point-count oracle -------------------------------------------------

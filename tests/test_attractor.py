@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from math import pi, sqrt
@@ -11,7 +12,7 @@ from classforms import quadforms as qf
 from classforms.attractor import Matrix2x2
 from classforms.quadforms import Form
 
-from conftest import q_expansion_sums_by_mpc
+from conftest import auto_order, j_coefficients, q_expansion_sum, q_expansion_sums_by_mpc
 
 
 def test_discriminant_of_charges_examples():
@@ -204,26 +205,42 @@ def test_hilbert_degree_matches_class_number():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _HILBERT_BELOW_800_SHA256
 
 
-def test_horner_sum_matches_mpc_oracle_at_hilbert_roots(monkeypatch):
-    # every root of D = -479 and -1055 at the order and digits the class
-    # polynomial picks, against the term-by-term loop 20 digits higher
-    calls = []
-    inner = at.q_expansion_sum
+def _dense_route(D):
+    """The digits hilbert_class_polynomial works at, the dense oracle's order
+    for a tail below 10^-digits at the largest |q|, and the roots' taus."""
+    forms = qf.enumerate_reduced(D)
+    digits = 15 + math.ceil(sum(pi * sqrt(-D) / (f.a * math.log(10)) for f in forms)
+                            + len(forms) * math.log10(2)) + at._EXTRA_DIGITS
+    order = auto_order(-pi * sqrt(-D) / forms[-1].a, -digits, 1)
+    return digits, order, [at.cm_root(f, digits) for f in forms]
 
-    def record(coeffs, tau, tail_log10):
-        calls.append((coeffs, tau, mp.mp.dps))
-        return inner(coeffs, tau, tail_log10)
 
-    monkeypatch.setattr(at, "q_expansion_sum", record)
+def test_horner_sum_matches_mpc_oracle_at_hilbert_roots():
+    # the dense oracle route checked against itself: every root of D = -479
+    # and -1055 at the order and digits it used for the class polynomial,
+    # against the term-by-term loop 20 digits higher
     for D in (-479, -1055):
-        calls.clear()
-        at.hilbert_class_polynomial(D)
-        assert len(calls) == qf.class_number(D)
-        for coeffs, tau, digits in calls:
+        digits, order, taus = _dense_route(D)
+        coeffs = j_coefficients(order)
+        for tau in taus:
             with mp.workdps(digits):
-                got = inner(coeffs, tau, -digits)
+                got = q_expansion_sum(coeffs, tau, -digits)
             with mp.workdps(digits + 20):
                 want, _ = q_expansion_sums_by_mpc(coeffs, tau)
+                assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (D, tau)
+
+
+def test_j_matches_the_dense_oracle_at_every_root():
+    # the eta quotient against the dense q-expansion of j at every root of
+    # -479, -1055 and -20011, at the class polynomial's digits, to within
+    # 10^(5 - digits) relative
+    for D in (-479, -1055, -20011):
+        digits, order, taus = _dense_route(D)
+        coeffs = j_coefficients(order)
+        with mp.workdps(digits):
+            for tau in taus:
+                got = at._j_at(tau)
+                want = q_expansion_sum(coeffs, tau, -digits)
                 assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (D, tau)
 
 
@@ -240,9 +257,12 @@ def test_hilbert_rejects_non_fundamental():
 
 
 def test_hilbert_checks_each_root_tail(monkeypatch):
-    # a truncation too short for the largest |q| is refused, not rounded
+    # a root summed too short is refused, not rounded: with the pentagonal
+    # sums capped at q^20 the largest |q| of -479 cannot reach its bound
     from classforms.rademacher import PrecisionError
 
-    monkeypatch.setattr(at, "_auto_order", lambda ln_q, tail_log10, level: 20)
-    with pytest.raises(PrecisionError, match="truncation order 20"):
+    inner = at._pentagonal_sums
+    monkeypatch.setattr(at, "_pentagonal_sums",
+                        lambda q, ln_q, k, weights, order=None: inner(q, ln_q, k, weights, 20))
+    with pytest.raises(PrecisionError, match="truncation order 20 "):
         at.hilbert_class_polynomial(-479)

@@ -133,11 +133,39 @@ def test_precision_default_ignores_environment(capsys, monkeypatch):
      "a1b09b294814e24e717a35ba5c3d3f93abdc5d9923ca29dabdc27d3c5aac0ac9"),
     (["singular-trace", "--n", "30"],
      "0b49e52a25935f001f4bcda47b5237fc346dfa32f62ff5c56084e5d65135612e"),
+    # recorded from the dense q-expansion route: 558 digits for j at -20011,
+    # and 59 points at n = 100
+    (["bh", "hilbert", "-20011"],
+     "3517bbbe7cf115db84111b5412d4640d86009d9b0c37515344687d48144f1ace"),
+    (["singular-trace", "--n", "100"],
+     "2c1b2849a4cb09e79094fd46e06cc83a1432fa7889128d6911bf3b96e9692350"),
 ])
 def test_cm_point_outputs_pinned(capsys, argv, sha256):
     # full stdout recorded before the level-6 walk and the shared q-expansion sum
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_singular_trace_checks_its_identity_at_working_precision(capsys, monkeypatch):
+    # at n = 300 the trace is near 6.7e19, where a double's ulp is 8192, so a
+    # point off by 1000 leaves the printed double sum on the exact integer;
+    # the working-precision sum still sees it and the command exits 1
+    from classforms import rademacher
+
+    inner = rademacher.eval_P_complex
+    shifted = []
+
+    def shift_first(tau, order, precision_digits):
+        value = inner(tau, order, precision_digits)
+        if not shifted:
+            shifted.append(tau)
+            value += 1000
+        return value
+
+    monkeypatch.setattr(rademacher, "eval_P_complex", shift_first)
+    rc, env, _ = run_json(capsys, ["singular-trace", "--n", "300"])
+    assert shifted and rc == 1
+    assert env["results"]["abs_residual"] == 0
 
 
 def test_singular_trace_subcommand(capsys):

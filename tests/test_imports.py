@@ -27,6 +27,7 @@ NEITHER = [
 MPMATH_ONLY = [
     ["rademacher", "tau", "--n", "3", "--cmax", "20"],
     ["singular-trace", "--n", "3"],
+    ["bh", "hilbert", "-479"],
 ]
 # one interpreter runs them in this order, so the libraries loaded after a
 # command are those it loaded or an earlier command did

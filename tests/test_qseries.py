@@ -6,9 +6,11 @@ from math import gcd
 import pytest
 from conftest import (
     assert_same_series,
+    g2_coefficients,
     partition_numbers_by_recurrence,
     recurrence_inverse,
     schoolbook_product,
+    substitute_power,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -241,7 +243,7 @@ def test_truncation_is_respected():
 
 def test_substitute_power():
     e2 = qs.eisenstein_E2(4)
-    sub = e2.substitute_power(2, 7)
+    sub = substitute_power(e2, 2, 7)
     assert sub.coefficient(0) == 1
     assert sub.coefficient(2) == -24
     assert sub.coefficient(1) == 0
@@ -305,10 +307,8 @@ def test_kernel_rejects_fractions_and_non_unit_leads():
 
 
 def test_modular_series_match_schoolbook(monkeypatch):
-    from classforms.rademacher import _g2_coefficients
-
     fast = [qs.delta_series(2000), qs.j_series(1000)]
-    fast_g2 = _g2_coefficients.__wrapped__(800)
+    fast_g2 = g2_coefficients.__wrapped__(800)
     kernel_product = qs.QSeries.__mul__
     monkeypatch.setattr(qs.QSeries, "__mul__", lambda f, g: (
         schoolbook_product(f, g) if isinstance(g, qs.QSeries) else kernel_product(f, g)))
@@ -316,7 +316,7 @@ def test_modular_series_match_schoolbook(monkeypatch):
     slow = [qs.delta_series(2000), qs.j_series(1000)]
     for got, want in zip(fast, slow):
         assert_same_series(got, want)
-    assert fast_g2 == _g2_coefficients.__wrapped__(800)
+    assert fast_g2 == g2_coefficients.__wrapped__(800)
 
 
 def test_series_builders_stay_in_the_integer_kernel(monkeypatch):
@@ -324,13 +324,12 @@ def test_series_builders_stay_in_the_integer_kernel(monkeypatch):
     TypeError (Fraction coefficient) and ArithmeticError (leading coefficient
     not +-1) checks none of their products and inverses may trip."""
     from classforms.cftx import extremal_partition_function
-    from classforms.rademacher import _g2_coefficients
 
     builders = {
         "Delta": lambda: qs.delta_series(2000).coeffs,
         "1/Delta": lambda: qs.inverse_delta_series(2000).coeffs,
         "j": lambda: qs.j_series(1000).coeffs,
-        "2G": lambda: _g2_coefficients.__wrapped__(800),
+        "2G": lambda: g2_coefficients.__wrapped__(800),
         "Z_4": lambda: extremal_partition_function(4, 20).coeffs,
         "p": lambda: qs.partition_numbers(500),
     }
@@ -345,12 +344,10 @@ def test_series_builders_stay_in_the_integer_kernel(monkeypatch):
 
 
 def test_g2_coefficients_at_benchmark_order():
-    from classforms.rademacher import _g2_coefficients
-
     # SHA-256 of the 3201 coefficients of 2G to order 3200, as decimal strings
     # joined by commas, recorded from the schoolbook product and recurrence
     # inverse before the Kronecker kernel replaced them.
-    text = ",".join(str(c) for c in _g2_coefficients(3200))
+    text = ",".join(str(c) for c in g2_coefficients(3200))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "673b5c0cfcd7b3ec837d5cead4792a648eb2ba3f5899b0f1f7db2f464ac33a3d"
     )

@@ -61,6 +61,12 @@ def test_enumerate_reduced_examples():
         (1, 1, 6), (2, -1, 3), (2, 1, 3)]
     with pytest.raises(ValueError):
         qf.enumerate_reduced(-2)
+    # listed by (a, b, c) with no sort: increasing a, then b, and (a, b) fix c
+    for D in range(-3, -3000, -1):
+        if D % 4 in (0, 1):
+            for primitive_only in (True, False):
+                forms = [tuple(f) for f in qf.enumerate_reduced(D, primitive_only)]
+                assert forms == sorted(forms), D
 
 
 def test_enumerate_reduced_one_per_class(rng):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd, log, pi, sqrt
 
@@ -9,8 +10,9 @@ from classforms import rademacher as rd
 from classforms.quadforms import Form, class_number, enumerate_reduced, reduce as reduce_form
 from classforms.rademacher import PrecisionError, RademacherParams
 
-from conftest import (bessel_by_ascending_series, gamma0_equivalent, kloosterman_by_exponentials,
-                      level_rep_by_window_search, q_expansion_sums_by_mpc)
+from conftest import (P_by_horner, auto_order, bessel_by_ascending_series, g2_coefficients,
+                      gamma0_equivalent, j_coefficients, kloosterman_by_exponentials,
+                      level_rep_by_window_search, q_expansion_sum, q_expansion_sums_by_mpc)
 
 
 # --- Kloosterman sums ---------------------------------------------------------
@@ -372,7 +374,7 @@ def test_coefficient_past_the_double_range_raises_overflow():
 
 
 def test_g_expansion_leading_terms():
-    g2 = rd._g2_coefficients(10)
+    g2 = g2_coefficients(10)
     assert g2[0] == 2  # q^-1 coefficient of 2G
     assert g2[1] == -20  # constant term of 2G
     assert g2[2] == -58
@@ -409,44 +411,124 @@ def test_eval_G_raises_when_order_too_small():
 
 
 def test_eval_G_tail_guard_uses_its_tolerance():
-    # at |q| = 0.47 order 50 leaves a tail near 1e-2, far above the 1e-9 tolerance
+    # at |q| = 0.47 the sums run to the working precision, so the least
+    # order that passes grows with the digits; one order less is refused,
+    # and any larger order sums the same terms
+    least = {}
+    for digits in (20, 40):
+        with mp.workdps(digits):
+            ln_q = -2 * pi * 0.12
+            least[digits] = 1 + max(k * rd._pentagonal_last(k * ln_q, mp.mp.prec)
+                                    for k in (1, 2, 3, 6))
+        with pytest.raises(PrecisionError, match=f"truncation order {least[digits] - 1} "):
+            rd.eval_G(0.12j, order=least[digits] - 1, precision_digits=digits)
+        with pytest.raises(PrecisionError):
+            rd.eval_P_complex(0.12j, order=least[digits] - 1, precision_digits=digits)
+        reference = rd.eval_G(0.12j, order=None, precision_digits=digits)
+        assert rd.eval_G(0.12j, order=least[digits], precision_digits=digits) == reference
+        assert rd.eval_G(0.12j, order=10**6, precision_digits=digits) == reference
+    assert 50 < least[20] < least[40]
     with pytest.raises(PrecisionError):
         rd.eval_G(0.12j, order=50, precision_digits=40)
-    with pytest.raises(PrecisionError):
-        rd.eval_P_complex(0.12j, order=50, precision_digits=40)
-    reference = rd.eval_G(0.12j, order=400, precision_digits=40)
-    assert abs(rd.eval_G(0.12j, order=100, precision_digits=40) - reference) < 1e-9
+    # and the value it passes is the dense oracle's, which needs order ~400
+    with mp.workdps(40):
+        want = P_by_horner(0.12j, g2_coefficients(400), -35)
+    got = rd.eval_P_complex(0.12j, order=least[40], precision_digits=40)
+    assert abs(got - want) < 1e-30 * abs(want)
 
 
-def test_horner_sum_matches_mpc_oracle_at_trace_points(monkeypatch):
-    # every CM point of n = 8, 11, 30 at the order and digits the trace picks,
-    # for 2G and for m times its coefficients (the two sums behind P); the
-    # term-by-term oracle runs 20 digits higher, because at the trace's own
-    # digits its running power of q loses up to 10 digits at |q| = 0.86.
-    # The orders are the least the level-6 growth model allows.
+def test_pentagonal_sums_stop_at_their_stated_bound():
+    # the kept exponents are the least whose tail bound is below 2^-prec,
+    # the true weighted tail is below that bound, and the sums match the
+    # products and derivatives they stand for, at |x| from 1e-300 to 0.95
+    for qabs in (1e-300, 0.004, 0.08, 0.47, 0.86, 0.95):
+        for digits in (15, 60, 300):
+            with mp.workdps(digits):
+                prec = mp.mp.prec
+                ln_x = log(qabs)
+                last = rd._pentagonal_last(ln_x, prec)
+                exps = [0] + [e for e, _ in itertools.takewhile(
+                    lambda t: t[0] <= 2 * last + 10, rd._pentagonal())]
+                kept = [e for e in exps if e <= last]
+                left = exps[len(kept)]
+                assert rd._ln_tail_bound(left, ln_x) < -prec * log(2.0)
+                assert last == 0 or rd._ln_tail_bound(last, ln_x) >= -prec * log(2.0)
+            with mp.workdps(digits + 20):
+                r = mp.mpf(qabs)
+                tail = mp.nsum(lambda m: m * m * r**m, [left, mp.inf])
+                assert tail < mp.mpf(2) ** -prec
+                x = mp.mpc(qabs * 0.6, qabs * 0.8)
+                product = mp.qp(x)  # prod (1 - x^n)
+                log_derivative = mp.diff(lambda y: mp.log(mp.qp(y)), x) * x
+            with mp.workdps(digits):
+                t0, t1, t2 = rd._pentagonal_sums(x, ln_x, 1, 3)
+                tolerance = 8 * mp.mpf(2) ** -prec
+                assert abs(t0 - product) < tolerance * max(1, abs(product)), (qabs, digits)
+                if qabs < 0.9:
+                    assert abs(t1 / t0 - log_derivative) < mp.mpf(10) ** (5 - digits) * max(
+                        1, abs(log_derivative)), (qabs, digits)
+
+
+def test_pentagonal_sums_where_abs_q_underflows_a_float():
+    # at a = 1 and D = -57003, |q| = exp(-pi sqrt(57003)) ~ 2e-326; the sums
+    # keep their constant term only, and the mpmath q keeps its value
+    with mp.workdps(30):
+        q, ln_q = rd._q_at(rd.cm_root(Form(1, 1, 14251), 30))
+        assert ln_q == pytest.approx(-750.06, abs=0.01)
+        assert rd._pentagonal_last(ln_q, mp.mp.prec) == 0
+        assert rd._pentagonal_sums(q, ln_q, 1, 3) == [1, 0, 0]
+        assert q != 0
+
+
+def test_horner_sum_matches_mpc_oracle_at_trace_points():
+    # the dense oracle route checked against itself: at every CM point of
+    # n = 8, 11, 30 with the order the level-6 growth model gives for a
+    # 1e-14 tail at the lowest point, the Horner sums of 2G and of m times
+    # its coefficients match the term-by-term loop run 20 digits higher,
+    # because at the working digits its running power of q loses up to 10
+    # digits at |q| = 0.86
+    for n, least_order in ((8, 515), (11, 667), (30, 1550)):
+        points = rd.enumerate_QD(n)
+        ln_q = max(-pi * sqrt(24 * n - 1) / f.a for f in points)
+        assert auto_order(ln_q, -14.0, 6) == least_order
+        g2 = g2_coefficients(least_order)
+        weighted = [m * c for m, c in enumerate(g2, start=-1)]
+        digits = 30 + max(0, int(max(
+            (abs(c).bit_length() * log(2.0) if c else 0.0) + m * ln_q
+            for m, c in enumerate(g2, start=-1)) / log(10.0)) + 5)
+        for f in points:
+            tau = rd.cm_root(f, digits)
+            with mp.workdps(digits + 20):
+                wants = q_expansion_sums_by_mpc(g2, tau)
+            with mp.workdps(digits):
+                gots = (q_expansion_sum(g2, tau), q_expansion_sum(weighted, tau))
+            with mp.workdps(digits + 20):
+                for got, want in zip(gots, wants):
+                    assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (n, tau)
+
+
+def test_P_matches_the_dense_oracle_at_every_point(monkeypatch):
+    # every CM point of every n <= 60, at the digits the trace picks: the
+    # dense route runs at each point's own growth-model order for a tail
+    # below 10^-(digits - 5), and the two agree to 10^(10 - digits) relative
     calls = []
     inner = rd.eval_P_complex
 
     def record(tau, order, precision_digits):
-        calls.append((tau, order, precision_digits))
-        return inner(tau, order, precision_digits)
+        value = inner(tau, order, precision_digits)
+        calls.append((tau, precision_digits, value))
+        return value
 
     monkeypatch.setattr(rd, "eval_P_complex", record)
-    for n, least_order in ((8, 515), (11, 667), (30, 1550)):
-        calls.clear()
+    for n in range(1, 61):
         rd.trace_singular_moduli(n)
-        assert len(calls) == len(rd.enumerate_QD(n))
-        assert {order for _, order, _ in calls} == {least_order}, n
-        for tau, order, digits in calls:
-            g2 = rd._g2_coefficients(order)
-            weighted = [m * c for m, c in enumerate(g2, start=-1)]
-            with mp.workdps(digits + 20):
-                wants = q_expansion_sums_by_mpc(g2, tau)
-            with mp.workdps(digits):
-                gots = (rd.q_expansion_sum(g2, tau), rd.q_expansion_sum(weighted, tau))
-            with mp.workdps(digits + 20):
-                for got, want in zip(gots, wants):
-                    assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (n, tau)
+    assert len(calls) == sum(len(rd.enumerate_QD(n)) for n in range(1, 61))
+    orders = [auto_order(float(-2 * pi * tau.imag), 5 - digits, 6) for tau, digits, _ in calls]
+    g2 = g2_coefficients(max(orders))
+    for (tau, digits, got), order in zip(calls, orders):
+        with mp.workdps(digits):
+            want = P_by_horner(tau, g2[:order + 1], 5 - digits)
+            assert abs(got - want) <= mp.mpf(10) ** (10 - digits) * max(1, abs(want)), tau
 
 
 def _criterion(n, ln_q, tail_log10, level):
@@ -454,31 +536,30 @@ def _criterion(n, ln_q, tail_log10, level):
 
 
 def test_auto_order_is_least_and_passes_the_tail_check():
-    # the order is the least meeting its growth model, and that model plus
-    # ln N slack must also satisfy the tail check on the true coefficients:
-    # j at level 1, 2G at level 6, from tiny |q| up to the worst n = 30 point
+    # the oracle route's order is the least meeting its growth model, and
+    # that model plus ln N slack must also satisfy the tail check on the true
+    # coefficients: j at level 1, 2G at level 6, from tiny |q| up to the worst
+    # n = 30 point
     grid = (0.002, 0.005, 0.02, 0.08, 0.2, 0.4, 0.6, 0.75, 0.86)
     tails = (-14, -60, -200, -310)
-    orders = {(qabs, tail, level): rd._auto_order(log(qabs), tail, level)
+    orders = {(qabs, tail, level): auto_order(log(qabs), tail, level)
               for qabs in grid for tail in tails for level in (1, 6)}
     j_order, g2_order = (max(n for key, n in orders.items() if key[2] == level) for level in (1, 6))
-    jq = qs.j_series(j_order)
-    coeffs = {1: [int(jq.coefficient(k)) for k in range(-1, j_order)],
-              6: rd._g2_coefficients(g2_order)}
+    coeffs = {1: j_coefficients(j_order), 6: g2_coefficients(g2_order)}
     for (qabs, tail, level), n in orders.items():
         assert _criterion(n, log(qabs), tail, level), (qabs, tail, level, n)
         assert not _criterion(n - 1, log(qabs), tail, level), (qabs, tail, level, n)
         tau = mp.mpc(0, -log(qabs) / (2 * pi))
-        rd.q_expansion_sum(coeffs[level][:n + 1], tau, tail)
+        q_expansion_sum(coeffs[level][:n + 1], tau, tail)
 
 
 def test_auto_order_where_abs_q_underflows_a_float():
     # at a = 1 and D = -57003, |q| = exp(-pi sqrt(57003)) ~ 2e-326 is below
-    # the least double; the order comes from ln|q| and is still the least
-    ln_q = rd._ln_q(Form(1, 1, 14251))
+    # the least double; the oracle's order comes from ln|q| and is still the least
+    ln_q = -pi * sqrt(57003)
     assert ln_q == pytest.approx(-750.06, abs=0.01)
     for level in (1, 6):
-        assert rd._auto_order(ln_q, -14.0, level) == 2
+        assert auto_order(ln_q, -14.0, level) == 2
         assert _criterion(2, ln_q, -14.0, level) and not _criterion(1, ln_q, -14.0, level)
 
 
@@ -566,18 +647,18 @@ def test_trace_singular_moduli_small_n():
     p = qs.partition_numbers(5)
     for n in (1, 2, 3, 4, 5):
         target = (24 * n - 1) * p[n]
-        assert abs(rd.trace_singular_moduli(n) - target) < 1e-4
+        assert abs(rd.trace_singular_moduli(n).value - target) < 1e-4
 
 
 def test_trace_singular_moduli_scales_up():
     # thirteen classes, lowest point at a = 78
-    assert abs(rd.trace_singular_moduli(8) - 191 * 22) < 1e-4
+    assert abs(rd.trace_singular_moduli(8).value - 191 * 22) < 1e-4
 
 
 def test_trace_converges_with_resolution():
     # residual shrinks as order and precision grow
-    coarse = abs(rd.trace_singular_moduli(1, order=120, precision_digits=30) - 23)
-    fine = abs(rd.trace_singular_moduli(1, order=500, precision_digits=60) - 23)
+    coarse = abs(rd.trace_singular_moduli(1, order=120, precision_digits=30).value - 23)
+    fine = abs(rd.trace_singular_moduli(1, order=500, precision_digits=60).value - 23)
     assert fine <= coarse
     assert fine < 1e-8
 
