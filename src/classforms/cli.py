@@ -1,12 +1,14 @@
-"""Command-line surface.
+"""Command-line surface: a thin envelope layer with one emission path.
 
-Every subcommand prints a single JSON envelope (or CSV for the bulk data
-emitters) on stdout; progress goes to stderr.  Output is deterministic:
-floats are fixed at 12 significant digits, keys are sorted, and the
-wall-time field stays null unless --timing is passed.  Exit codes: 0 on
-success, 1 when a verification subcommand finds a failing comparison, 2 for
-usage errors, 3 when a computation exhausts its precision or truncation
-budget (PrecisionError; stderr gives the residual reached).
+Each handler takes the parsed arguments alone and returns (parameters,
+results, provenance), plus an exit code where it has a verdict of its own;
+the CSV emitters write their rows and return None.  `main` names the command
+by its subcommand path as invoked and writes the one JSON envelope to stdout;
+progress goes to stderr.  Output is deterministic: floats are fixed at 12
+significant digits, keys are sorted, and the wall-time field stays null
+unless --timing is passed.  Exit codes: 0 on success, 1 when a verification
+finds a failing comparison, 2 for usage errors, 3 when a computation exhausts
+its precision or truncation budget (PrecisionError; stderr gives the residual).
 """
 
 import argparse
@@ -87,15 +89,18 @@ def _disc(args) -> int:
     return d
 
 
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 # --- subcommand implementations ----------------------------------------------
+# Provenance is spelled out, not read from a function's __module__ or
+# __qualname__: perfbench's traced runs replace the library functions with
+# wrappers, and the envelope must not change under them.
 
 
-def _cmd_classgroup(args, t0):
+def _coefficients(series):
+    return {str(n): str(series.coefficient(n))
+            for n in range(series.valuation, series.truncation_order)}
+
+
+def _cmd_classgroup(args):
     D = _disc(args)
     desc = classgroup.group_structure(D)
     results = {
@@ -108,11 +113,10 @@ def _cmd_classgroup(args, t0):
         # counted from the forms, not the walks, so it stays a check on the structure
         results["two_torsion_order"] = classgroup.ambiguous_count(desc.representatives)
         results["ggz_lower_bound"] = classgroup.ggz_lower_bound(D)
-    _emit(args, "classgroup", {"D": D}, results, "classforms.classgroup.group_structure", t0)
-    return 0
+    return {"D": D}, results, "classforms.classgroup.group_structure"
 
 
-def _cmd_bh_classify(args, t0):
+def _cmd_bh_classify(args):
     D = _disc(args)
     charges = attractor.classify_black_holes(D)
     results = {
@@ -123,56 +127,43 @@ def _cmd_bh_classify(args, t0):
             for c in charges
         ],
     }
-    _emit(args, "bh classify", {"D": D}, results, "classforms.attractor.classify_black_holes", t0)
-    return 0
+    return {"D": D}, results, "classforms.attractor.classify_black_holes"
 
 
-def _cmd_bh_tau(args, t0):
+def _cmd_bh_tau(args):
     tau = attractor.attractor_tau((args.a, args.b, args.c))
     results = {"form": [args.a, args.b, args.c], "tau": tau}
-    _emit(args, "bh tau", {"a": args.a, "b": args.b, "c": args.c}, results,
-          "classforms.attractor.attractor_tau", t0)
-    return 0
+    return {"a": args.a, "b": args.b, "c": args.c}, results, "classforms.attractor.attractor_tau"
 
 
-def _cmd_bh_hilbert(args, t0):
+def _cmd_bh_hilbert(args):
     D = _disc(args)
     coeffs = attractor.hilbert_class_polynomial(D)
     results = {"D": D, "degree": len(coeffs) - 1,
                "coefficients_low_to_high": [str(c) for c in coeffs]}
-    _emit(args, "bh hilbert", {"D": D}, results,
-          "classforms.attractor.hilbert_class_polynomial", t0)
-    return 0
+    return {"D": D}, results, "classforms.attractor.hilbert_class_polynomial"
 
 
-def _cmd_series(args, t0):
-    makers = {
-        "delta": (qseries.delta_series, "classforms.qseries.delta_series"),
-        "invdelta": (qseries.inverse_delta_series, "classforms.qseries.inverse_delta_series"),
-        "j": (qseries.j_series, "classforms.qseries.j_series"),
-    }
-    maker, prov = makers[args.kind]
-    s = maker(args.order)
-    results = {
-        "kind": args.kind,
-        "valuation": s.valuation,
-        "truncation_order": s.truncation_order,
-        "coefficients": {str(n): str(s.coefficient(n))
-                         for n in range(s.valuation, s.truncation_order)},
-    }
-    _emit(args, f"series {args.kind}", {"order": args.order}, results, prov, t0)
-    return 0
+# kind -> qseries maker, looked up by name when called, so a wrapper put on
+# the module is the one that runs
+_SERIES = {"delta": "delta_series", "invdelta": "inverse_delta_series", "j": "j_series"}
 
 
-def _cmd_trace(args, t0):
+def _cmd_series(args):
+    name = _SERIES[args.kind]
+    s = getattr(qseries, name)(args.order)
+    results = {"kind": args.kind, "valuation": s.valuation,
+               "truncation_order": s.truncation_order, "coefficients": _coefficients(s)}
+    return {"order": args.order}, results, f"classforms.qseries.{name}"
+
+
+def _cmd_trace(args):
     value = qseries.hecke_trace(args.weight, args.n)
     results = {"weight": args.weight, "n": args.n, "trace": value}
-    _emit(args, "trace", {"weight": args.weight, "n": args.n}, results,
-          "classforms.qseries.hecke_trace", t0)
-    return 0
+    return {"weight": args.weight, "n": args.n}, results, "classforms.qseries.hecke_trace"
 
 
-def _cmd_rademacher(args, t0):
+def _cmd_rademacher(args):
     params = rademacher.RademacherParams(cmax=args.cmax, precision_digits=args.precision)
     if args.kind == "invdelta":
         value = rademacher.rademacher_inv_delta(args.n, params)
@@ -190,13 +181,11 @@ def _cmd_rademacher(args, t0):
         value = rademacher.rd_coefficient(args.d, args.n, params)
         results = {"d": args.d, "n": args.n, "value": value}
         prov = "classforms.rademacher.rd_coefficient"
-    _emit(args, f"rademacher {args.kind}",
-          {"n": args.n, "d": args.d, "cmax": args.cmax, "precision": args.precision},
-          results, prov, t0)
-    return 0
+    parameters = {"n": args.n, "d": args.d, "cmax": args.cmax, "precision": args.precision}
+    return parameters, results, prov
 
 
-def _cmd_singular_trace(args, t0):
+def _cmd_singular_trace(args):
     # the trace validates n, order and precision before p(n) is asked for
     trace = rademacher.trace_singular_moduli(args.n, args.order, args.precision)
     expected = (24 * args.n - 1) * qseries.partition_numbers(args.n)[args.n]
@@ -205,15 +194,14 @@ def _cmd_singular_trace(args, t0):
         "trace": trace.value,
         "expected": expected,
         "abs_residual": abs(trace.value - expected),
-        "points": [list(f) for f in rademacher.enumerate_QD(args.n)],
+        "points": [list(f) for f in trace.points],
     }
-    _emit(args, "singular-trace", {"n": args.n}, results,
-          "classforms.rademacher.trace_singular_moduli", t0)
     # held at the working precision: past n ~ 107 a double cannot resolve 1e-4
-    return 0 if abs(trace.working_sum - expected) < 1e-4 else 1
+    code = 0 if abs(trace.working_sum - expected) < 1e-4 else 1
+    return {"n": args.n}, results, "classforms.rademacher.trace_singular_moduli", code
 
 
-def _cmd_ecc_verify(args, t0):
+def _cmd_ecc_verify(args):
     rows = eccensus.verify_deuring(args.q)
     for r in rows:
         print(f"q={r.q} t={r.t:+d} observed={r.observed} expected={r.expected} "
@@ -223,11 +211,10 @@ def _cmd_ecc_verify(args, t0):
          "weighted_expected": str(r.weighted_expected), "status": r.status}
         for r in rows
     ]
-    _emit(args, "ecc verify", {"q": args.q}, results, "classforms.eccensus.verify_deuring", t0)
-    return 0
+    return {"q": args.q}, results, "classforms.eccensus.verify_deuring"
 
 
-def _cmd_ecc_torsion(args, t0):
+def _cmd_ecc_torsion(args):
     q, n = args.q, args.n
     eccensus.check_torsion_modulus(q, n)
     rows = []
@@ -242,27 +229,20 @@ def _cmd_ecc_torsion(args, t0):
             "expected_unweighted": unweighted, "expected_weighted": str(weighted),
             "fractional": weighted.denominator != 1,
         })
-    _emit(args, "ecc torsion", {"q": q, "n": n}, rows,
-          "classforms.eccensus.torsion_class_count", t0)
-    return 0
+    return {"q": q, "n": n}, rows, "classforms.eccensus.torsion_class_count"
 
 
-def _cmd_cft_zk(args, t0):
+def _cmd_cft_zk(args):
     z = cftx.extremal_partition_function(args.k, args.order)
-    results = {
-        "k": args.k,
-        "coefficients": {str(n): str(z.coefficient(n))
-                         for n in range(z.valuation, z.truncation_order)},
-    }
+    results = {"k": args.k, "coefficients": _coefficients(z)}
     if args.cmax:
-        report = cftx.verify_zk_identity(args.k, cmax=args.cmax, order=args.order)
-        results["identity_check"] = report
-    _emit(args, "cft zk", {"k": args.k, "order": args.order, "cmax": args.cmax},
-          results, "classforms.cftx.extremal_partition_function", t0)
-    return 0
+        results["identity_check"] = cftx.verify_zk_identity(args.k, cmax=args.cmax,
+                                                             order=args.order)
+    return ({"k": args.k, "order": args.order, "cmax": args.cmax}, results,
+            "classforms.cftx.extremal_partition_function")
 
 
-def _cmd_cft_polar(args, t0):
+def _cmd_cft_polar(args):
     mmax = args.mmax
     if args.emit == "table":
         rows = cftx.extremal_n2_report(mmax)
@@ -271,9 +251,7 @@ def _cmd_cft_polar(args, t0):
             "flagged": [r["m"] for r in rows if r["flagged"]],
             "documented_candidates": list(cftx.DOCUMENTED_EXTREMAL_CANDIDATES),
         }
-        _emit(args, "cft polar", {"mmax": mmax, "emit": args.emit}, results,
-              "classforms.cftx.extremal_n2_report", t0)
-        return 0
+        return {"mmax": mmax, "emit": args.emit}, results, "classforms.cftx.extremal_n2_report"
     values = cftx.figure_data(mmax)
     print(f"scanned {mmax} indices", file=sys.stderr)
     if args.emit == "figure-data":
@@ -283,44 +261,30 @@ def _cmd_cft_polar(args, t0):
         _emit_csv("bin_left,bin_right,count", bins, comment=f"bin_width = {width:.12g}")
     else:
         _emit_csv("value,cumulative_fraction", cftx.empirical_cdf(values))
-    return 0
+    return None
 
 
-def _cmd_stats_cohen_lenstra(args, t0):
+def _cmd_stats_cohen_lenstra(args):
     count, proportion = classgroup.cl_statistics(args.p, args.N)
-    results = {
-        "p": args.p,
-        "N": args.N,
-        "count_indivisible": count,
-        "proportion": proportion,
-        "predicted": classgroup.cohen_lenstra_prediction(args.p),
-    }
-    _emit(args, "stats cohen-lenstra", {"p": args.p, "N": args.N}, results,
-          "classforms.classgroup.cl_statistics", t0)
-    return 0
+    results = {"p": args.p, "N": args.N, "count_indivisible": count, "proportion": proportion,
+               "predicted": classgroup.cohen_lenstra_prediction(args.p)}
+    return {"p": args.p, "N": args.N}, results, "classforms.classgroup.cl_statistics"
 
 
-def _cmd_stats_ng(args, t0):
-    results = {
-        "g": args.g,
-        "x": args.x,
-        "count": classgroup.ng_count(args.g, args.x),
-        "cg_constant": classgroup.cg_constant(args.g),
-    }
-    _emit(args, "stats ng", {"g": args.g, "x": args.x}, results,
-          "classforms.classgroup.ng_count", t0)
-    return 0
+def _cmd_stats_ng(args):
+    results = {"g": args.g, "x": args.x, "count": classgroup.ng_count(args.g, args.x),
+               "cg_constant": classgroup.cg_constant(args.g)}
+    return {"g": args.g, "x": args.x}, results, "classforms.classgroup.ng_count"
 
 
-def _cmd_stats_h_scan(args, t0):
+def _cmd_stats_h_scan(args):
     rows = classgroup.h_scan(args.N, args.epsilon)
     if args.format == "csv":
         _emit_csv("D,h,siegel_curve", rows, comment=f"epsilon = {args.epsilon:.12g}")
-    else:
-        _emit(args, "stats h-scan", {"N": args.N, "epsilon": args.epsilon},
-              [{"D": d, "h": hh, "siegel_curve": s} for d, hh, s in rows],
-              "classforms.tables.class_number_table", t0)
-    return 0
+        return None
+    return ({"N": args.N, "epsilon": args.epsilon},
+            [{"D": d, "h": hh, "siegel_curve": s} for d, hh, s in rows],
+            "classforms.tables.class_number_table")
 
 
 # --- parser -------------------------------------------------------------------
@@ -358,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bh_hilbert)
 
     p = sub.add_parser("series", help="exact q-expansions")
-    p.add_argument("kind", choices=("delta", "invdelta", "j"))
+    p.add_argument("kind", choices=tuple(_SERIES))
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=_cmd_series)
 
@@ -427,9 +391,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        return args.func(args, t0)
+        out = args.func(args)
+        if out is None:  # a CSV emitter has written its rows
+            return 0
+        parameters, results, provenance, *verdict = out
+        path = (getattr(args, key, None) for key in ("command", "subcommand", "kind"))
+        _emit(args, " ".join(filter(None, path)), parameters, results, provenance, t0)
+        return verdict[0] if verdict else 0
     except (ValueError, OverflowError) as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except rademacher.PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3

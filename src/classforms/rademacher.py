@@ -489,12 +489,13 @@ def enumerate_QD(n: int):
 class SingularTrace(NamedTuple):
     value: float  # the sum of the points' P as doubles, in list order
     working_sum: object  # the same sum at the working precision, an mpc
+    points: list  # the forms summed over, enumerate_QD(n)
 
 
 def trace_singular_moduli(n: int, order: int | None = None,
                           precision_digits: int | None = None) -> SingularTrace:
     """Sum of P over the level-6 CM points of discriminant 1 - 24n, (24n - 1) p(n),
-    in doubles and at the working precision.
+    in doubles and at the working precision, with the points it walked.
 
     The default digits cover the largest term of 2G's expansion at the lowest
     point (largest |q|): its coefficients grow like exp(4 pi sqrt(m/6)), so the
@@ -525,4 +526,4 @@ def trace_singular_moduli(n: int, order: int | None = None,
     total = sum(map(complex, values))
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise PrecisionError(f"trace has imaginary residual {total.imag}")
-    return SingularTrace(total.real, working_sum)
+    return SingularTrace(total.real, working_sum, forms)

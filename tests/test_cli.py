@@ -146,6 +146,43 @@ def test_cm_point_outputs_pinned(capsys, argv, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (["classgroup", "-84"], "1cc8a22a9634967d0e16b8899d71d9df3a2604d47ccc4da6e4bf89c677727c4e"),
+    (["bh", "classify", "-20"], "d7e89451c804eb078b915bd4535dd5c4bb5b5614ad96a79e36287ecd4d55a0a0"),
+    (["bh", "tau", "6", "1", "1"],
+     "797ae59b7e6a33a35d6b0a00fecb04f8beda4f745d1b9383fcb9d809b41fd2e5"),
+    (["series", "j", "--order", "20"],
+     "9843ae5be91daf1473bcf65aa8a6264ca1aeaa6827ef3d8114568371e8f04754"),
+    (["trace", "--weight", "12", "--n", "10"],
+     "616f145d3cca319a782c79d6636e54575843520056eebbf5fd3dd615f04f245e"),
+    (["rademacher", "invdelta", "--n", "2", "--cmax", "30"],
+     "8f5b94dfe8ec5d38479e0c0cd884f44218057bb28420568b4bb0e857d8787cdb"),
+    (["rademacher", "tau", "--n", "3", "--cmax", "50"],
+     "11fe1449c80e07a125f0f87d73b34d232a4b9bcecc1add2496498082aff80e3f"),
+    (["rademacher", "rd", "--d", "1", "--n", "1", "--cmax", "50"],
+     "6907cd6c5e67854d3bd01871efd14655cb370b701d0b4a4d31cebe2234ca6265"),
+    (["ecc", "verify", "--q", "41"],
+     "f2cd229d7a2a2479d02db0b4e3a8623a75355f148aa3bb239699551adc1aed73"),
+    (["ecc", "torsion", "--q", "7", "--n", "3"],
+     "a50c3d975113b5234260e0d375ff79c53f462c27e041d6fe9f3f4477c9f22057"),
+    (["cft", "zk", "--k", "1", "--cmax", "50"],
+     "72b93b6a7f9bd6136db5cf23df747bf73f926c030f2f49a303f6102e840a7fb0"),
+    (["stats", "cohen-lenstra", "--p", "3", "--N", "10000"],
+     "2262d5860cd2db31d18597b2cbc743d190232dafa7801d8f0ec996db6627333b"),
+    (["stats", "ng", "--g", "3", "--x", "200"],
+     "a12c4044cf95040d038b9d1130105df10ecea20776b0768865fc1ef05fe15e63"),
+    (["stats", "h-scan", "--N", "2000"],
+     "f48dd9bcf066e4c8249f2517fad675e87b90d53ac0fe7b9e52afcdfc77ff958b"),
+    (["--format", "csv", "stats", "h-scan", "--N", "2000"],
+     "628a7c5aaf93c5929f42bd8de724599574a522f41bfeb4c63457223757981d01"),
+])
+def test_leaf_outputs_pinned(capsys, argv, sha256):
+    # full stdout recorded while each handler still built and emitted its own
+    # envelope, so the command names, parameters and provenance are pinned too
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_singular_trace_checks_its_identity_at_working_precision(capsys, monkeypatch):
     # at n = 300 the trace is near 6.7e19, where a double's ulp is 8192, so a
     # point off by 1000 leaves the printed double sum on the exact integer;
@@ -174,6 +211,49 @@ def test_singular_trace_subcommand(capsys):
     assert env["results"]["expected"] == 23
     assert env["results"]["abs_residual"] < 1e-4
     assert env["results"]["points"] == [[6, 1, 1], [12, 13, 4], [18, 25, 9]]
+
+
+def test_singular_trace_walks_the_level6_points_once(capsys, monkeypatch):
+    # the printed points are the trace's own, not a second walk
+    from classforms import rademacher
+
+    calls = []
+    enumerate_QD = rademacher.enumerate_QD
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_QD(n)
+
+    monkeypatch.setattr(rademacher, "enumerate_QD", counted)
+    rc, env, _ = run_json(capsys, ["singular-trace", "--n", "8"])
+    assert rc == 0 and len(env["results"]["points"]) == 13
+    assert calls == [8]
+
+
+def test_closed_pipe_ends_the_process_by_sigpipe():
+    # about 200 KB of CSV overflows the pipe buffer, so the writes after the
+    # reader has gone hit the closed pipe
+    import os
+    import signal
+    import subprocess
+    import sys as _sys
+
+    if not hasattr(signal, "SIGPIPE"):
+        pytest.skip("no SIGPIPE on this platform")
+    import classforms
+
+    src = str(Path(classforms.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [_sys.executable, "-m", "classforms", "cft", "polar", "--mmax", "10000",
+         "--emit", "figure-data"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline() == b"m,normalized_excess\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert b"Traceback" not in err
 
 
 def test_ecc_verify_subcommand(capsys):

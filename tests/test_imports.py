@@ -23,11 +23,13 @@ NEITHER = [
     ["ecc", "verify", "--q", "11"],
     ["bh", "classify", "-20"],
     ["bh", "tau", "1", "1", "6"],
+    ["cft", "zk", "--k", "1"],
 ]
 MPMATH_ONLY = [
     ["rademacher", "tau", "--n", "3", "--cmax", "20"],
     ["singular-trace", "--n", "3"],
     ["bh", "hilbert", "-479"],
+    ["cft", "zk", "--k", "1", "--cmax", "20"],
 ]
 # one interpreter runs them in this order, so the libraries loaded after a
 # command are those it loaded or an earlier command did
