@@ -2,8 +2,11 @@
 
 Every prime, divisor and square-free question about a single value goes
 through factorization(), the one trial-division loop in the package.  Bulk
-scans read the smallest-prime-factor sieve in tables instead.
+scans read the smallest-prime-factor sieve in tables instead.  pentagonal()
+gives the exponents of prod (1 - q^n) to qseries and rademacher alike.
 """
+
+from itertools import count
 
 
 def xgcd(a: int, b: int):
@@ -70,3 +73,12 @@ def divisors(n: int):
 def is_squarefree(n: int) -> bool:
     """Whether no square above 1 divides n > 0."""
     return all(e == 1 for _, e in factorization(n))
+
+
+def pentagonal():
+    """(e_j, (-1)^j) for j = 1, -1, 2, -2, ...: e_j = j(3j - 1)/2 past e_0 = 0, increasing,
+    without end; prod (1 - q^n) = 1 + sum (-1)^j q^(e_j) (pentagonal-number theorem)."""
+    for j in count(1):
+        sign = -1 if j % 2 else 1
+        yield j * (3 * j - 1) // 2, sign
+        yield j * (3 * j + 1) // 2, sign

@@ -42,6 +42,8 @@ def extremal_partition_function(k: int, order: int = 10) -> qseries.QSeries:
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     # vacuum polar part: partitions into parts >= 2, p(n) - p(n-1)
     p = qseries.partition_numbers(k)
     target = [p[m] - (p[m - 1] if m else 0) for m in range(k + 1)]  # q^(m-k)
@@ -197,7 +199,9 @@ def polar_count_sieve(mmax: int) -> list:
 
     if mmax < 1:
         raise ValueError("mmax must be positive")
-    w = 6 * tables.class_number_table(4 * mmax)
+    # widened before scaling, so 6h cannot overflow the int32 table's type
+    w = tables.class_number_table(4 * mmax).astype(np.int64)
+    w *= 6
     w[1:: 4] = w[2:: 4] = w[0] = 0
     w[3], w[4] = 2, 3
     W = np.zeros(mmax + 1, dtype=np.int64)

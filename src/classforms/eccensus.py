@@ -132,16 +132,12 @@ def verify_deuring(q: int):
 
 
 def _point_set(q: int, a: int, b: int):
-    chi = _character_table(q)
-    sqrt_table = {}
+    sqrt_table = {}  # the square roots of each square mod q; non-squares are absent
     for y in range(q):
         sqrt_table.setdefault(y * y % q, []).append(y)
     pts = [None]  # identity
     for x in range(q):
-        rhs = (x * x * x + a * x + b) % q
-        if chi[rhs] >= 0:
-            for y in sqrt_table.get(rhs, []):
-                pts.append((x, y))
+        pts += [(x, y) for y in sqrt_table.get((x * x * x + a * x + b) % q, ())]
     return pts
 
 

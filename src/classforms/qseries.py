@@ -18,9 +18,12 @@ substitution: each operand's integer coefficients are packed into one big
 decimal number, one slot of w digits per coefficient, the two numbers are
 multiplied once by the C `decimal` module (libmpdec multiplies large numbers
 by a number-theoretic transform), and the slots are read back with balanced
-digits.  A truncated product packs each operand cut to the wanted length and
-reads back only the low slots.  An inverse is Newton iteration on that
-product, doubling the number of correct terms per step.
+digits.  A pack is the slots of the positive coefficients minus those of the
+negative ones' magnitudes.  A truncated product packs each operand cut to the
+wanted length and reads back only the low slots.  An inverse is Newton
+iteration on that product, doubling the number of correct terms per step.
+The Euler product takes its exponents from arith.pentagonal; hecke_trace and
+tau_prime_display share _trace_formula and differ only in the window of t.
 """
 
 import decimal
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .arith import divisors
+from .arith import divisors, pentagonal
 
 
 class QSeries:
@@ -171,7 +174,6 @@ _EXACT = decimal.Context(
     traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
            decimal.Inexact, decimal.Rounded],
 )
-_NINES = bytes.maketrans(b"0123456789", b"9876543210")
 
 
 def _digits(x: int) -> str:
@@ -182,30 +184,18 @@ def _digits(x: int) -> str:
 def _pack(coeffs, w: int):
     """sum coeffs[i] * 10^(w i) as an exact Decimal.
 
-    Slots are written from the least significant end.  A negative slot value
-    is written as its complement 10^w + c and borrows one from the next slot;
-    a borrow out of the top slot subtracts 10^(w len).
+    The positive coefficients fill the w-digit slots of one number and the
+    magnitudes of the negative ones those of another; the pack is the first
+    minus the second.  Each digit string is converted before the next is
+    built, so at most two digit buffers are alive at once.
     """
-    n = len(coeffs)
-    buf = bytearray(b"0") * (w * n)
-    end = w * n
-    borrow = 0
-    for c in coeffs:
-        c -= borrow
-        borrow = c < 0
-        if c > 0:
-            s = _digits(c).encode()
-            buf[end - len(s):end] = s
-        elif c < 0:
-            # 10^w + c = (10^w - 1) - (-c - 1): nines' complement of -c - 1
-            buf[end - w:end] = _digits(-c - 1).encode().translate(_NINES).rjust(w, b"9")
-        end -= w
-    text = buf.decode()
-    del buf  # at most two digit buffers alive at once
-    packed = _EXACT.create_decimal(text)
-    if borrow:
-        packed = _EXACT.subtract(packed, decimal.Decimal((0, (1,), w * n)))
-    return packed
+    zero = "0" * w
+
+    def slots(sign):
+        return _EXACT.create_decimal("".join(
+            _digits(sign * c).zfill(w) if sign * c > 0 else zero for c in reversed(coeffs)))
+
+    return _EXACT.subtract(slots(1), slots(-1))
 
 
 def _ints(coeffs):
@@ -276,18 +266,10 @@ def euler_product(order: int) -> QSeries:
     """prod_{n>=1} (1 - q^n), expanded by the pentagonal-number theorem."""
     coeffs = [0] * order
     coeffs[0] = 1
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= order and e2 >= order:
+    for e, sign in pentagonal():
+        if e >= order:
             break
-        sign = -1 if k % 2 else 1
-        if e1 < order:
-            coeffs[e1] = sign
-        if e2 < order:
-            coeffs[e2] = sign
-        k += 1
+        coeffs[e] = sign
     return QSeries(0, coeffs, order)
 
 
@@ -358,54 +340,43 @@ def pk_coefficient(k: int, t: int, n: int) -> int:
     return cur
 
 
+def _trace_formula(k: int, n: int, window) -> Fraction:
+    """-(1/2) sum_{t in window} P_k(t, n) H(t^2 - 4n) - (1/2) sum_{dd'=n} min(d, d')^(k-1),
+    with H the stabilizer-weighted count from quadforms.hurwitz (H(0) = -1/12)."""
+    from .quadforms import hurwitz
+
+    elliptic = sum(pk_coefficient(k, t, n) * hurwitz(t * t - 4 * n) for t in window)
+    boundary = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
+    return -Fraction(elliptic + boundary, 2)
+
+
 def hecke_trace(k: int, n: int) -> int:
     """Trace of the n-th Hecke operator on weight-k cusp forms for SL2(Z).
 
-    -(1/2) sum_{t^2 <= 4n} P_k(t, n) H(t^2 - 4n) - (1/2) sum_{dd'=n} min(d, d')^(k-1),
-    with H the stabilizer-weighted count from quadforms.hurwitz (H(0) = -1/12).
-    The result must be an integer; a non-integer signals a broken H convention.
+    The Eichler-Selberg trace formula, _trace_formula over the two-sided
+    window t^2 <= 4n.  The result must be an integer; a non-integer signals a
+    broken H convention.
     """
-    from .quadforms import hurwitz
-
     if k < 4 or k % 2 != 0:
         raise ValueError("weight must be an even integer >= 4")
     if n < 1:
         raise ValueError("index must be positive")
     tmax = isqrt(4 * n)
-    elliptic = Fraction(0)
-    for t in range(-tmax, tmax + 1):
-        h = hurwitz(t * t - 4 * n)
-        if h:
-            elliptic += pk_coefficient(k, t, n) * h
-    boundary = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
-    total = -elliptic / 2 - Fraction(boundary, 2)
+    total = _trace_formula(k, n, range(-tmax, tmax + 1))
     if total.denominator != 1:
         raise ArithmeticError(f"trace came out non-integral: {total}")
     return int(total)
 
 
 def tau_prime_display(p: int) -> Fraction:
-    """One-sided variant of the weight-12 trace at a prime, evaluated verbatim:
+    """One-sided variant of the weight-12 trace at a prime:
 
     -(1/2) sum_{t=0}^{floor(sqrt p)} (t^10 - 9pt^8 + 28p^2t^6 - 35p^3t^4
     + 15p^4t^2 - p^5) H(t^2 - 4p) - (1/2) sum_{dd'=p} min(d,d')^11.
 
-    The one-sided, sqrt(p)-bounded t-sum disagrees with the two-sided
-    2 sqrt(n) window of hecke_trace; this function exists so the discrepancy
-    can be reported.  hecke_trace(12, p) is the value to trust.
+    The polynomial is P_12(t, p), so only the window differs from hecke_trace:
+    the one-sided, sqrt(p)-bounded t-sum disagrees with the two-sided 2 sqrt(n)
+    one; this function exists so the discrepancy can be reported.
+    hecke_trace(12, p) is the value to trust.
     """
-    from .quadforms import hurwitz
-
-    total = Fraction(0)
-    for t in range(0, isqrt(p) + 1):
-        poly = (
-            t**10
-            - 9 * p * t**8
-            + 28 * p**2 * t**6
-            - 35 * p**3 * t**4
-            + 15 * p**4 * t**2
-            - p**5
-        )
-        total += poly * hurwitz(t * t - 4 * p)
-    boundary = sum(min(d, p // d) ** 11 for d in divisors(p))
-    return -total / 2 - Fraction(boundary, 2)
+    return _trace_formula(12, p, range(isqrt(p) + 1))

@@ -24,10 +24,10 @@ of forms of discriminant 1 - 24n.  That trace is an integer multiple of the
 partition number p(n), which is the acceptance check for all of it.  G and
 P are eta quotients and their derivatives, so one kernel, _pentagonal_sums,
 gives every CM value: T_i = sum (-1)^j e_j^i x^(e_j) over the generalized
-pentagonal numbers e_j at x = q^k, which has O(sqrt N) terms up to x^N.  It
-runs in fixed point over Gaussian integers, stops each sum at its own |q|
-once a stated tail bound is below the working precision, and raises
-PrecisionError when an explicit order cuts it first.  G and P take T_0, T_1
+pentagonal numbers e_j of arith.pentagonal at x = q^k, which has O(sqrt N)
+terms up to x^N.  It runs in fixed point over Gaussian integers, stops each
+sum at its own |q| once a stated tail bound is below the working precision,
+and raises PrecisionError when an explicit order cuts it first.  G and P take T_0, T_1
 and T_2 at q, q^2, q^3, q^6; attractor takes T_0 at q and q^2 for j.
 
 mpmath is imported inside each function that uses it: every command is a
@@ -35,11 +35,11 @@ fresh process, so only the sums, CM-point values and class polynomials pay
 for loading it.
 """
 
-from itertools import count
 from math import ceil, exp, expm1, factorial, gcd, isinf, log, log1p, log2, pi, sqrt
 from operator import mul
 from typing import NamedTuple
 
+from .arith import pentagonal
 from .quadforms import Form, enumerate_reduced, reduce
 
 _LN2 = log(2.0)
@@ -304,14 +304,6 @@ def rd_coefficient(d: int, n: int, params: RademacherParams = RademacherParams(c
 # ---------------------------------------------------------------------------
 
 
-def _pentagonal():
-    """(e_j, (-1)^j) for j = 1, -1, 2, -2, ...: e_j = j(3j - 1)/2 past e_0 = 0, increasing."""
-    for j in count(1):
-        sign = -1 if j % 2 else 1
-        yield j * (3 * j - 1) // 2, sign
-        yield j * (3 * j + 1) // 2, sign
-
-
 def _ln_tail_bound(m: int, ln_x: float) -> float:
     """ln of m^2 r^m (1 + r)/(1 - r)^3 >= sum_{e >= m} e^2 r^e, r = e^ln_x (which
     may underflow): at e = m + i, e^2 <= m^2 (1 + i)^2, summed to (1 + r)/(1 - r)^3."""
@@ -322,7 +314,7 @@ def _pentagonal_last(ln_x: float, prec: int, limit: int | None = None):
     """Largest exponent the pentagonal sums keep at |x| = e^ln_x and prec bits, the
     one before the least e_j with tail bound below 2^-prec; None if e_j >= limit."""
     last = 0
-    for e, _ in _pentagonal():
+    for e, _ in pentagonal():
         if _ln_tail_bound(e, ln_x) < -prec * _LN2:
             return last
         if limit is not None and e >= limit:
@@ -368,7 +360,7 @@ def _pentagonal_sums(q, ln_q: float, k: int, weights: int, order: int | None = N
     odd, power, t = x, x, (1 << bits, 0)  # x^(2j - 1) and x^j at j = 1, x^0
     x2 = mul(x, x)
     sums = [[1 << bits, 0]] + [[0, 0] for _ in range(weights - 1)]
-    for i, (e, sign) in enumerate(_pentagonal()):
+    for i, (e, sign) in enumerate(pentagonal()):
         if e > last:
             break
         if i % 2 == 0:  # e_j - e_{-(j-1)} = 2j - 1
@@ -416,15 +408,15 @@ def _g_and_dg(tau, order: int | None):
     return g, dn / (2 * w) - g * dlog_w / 12
 
 
-def eval_G(tau, order: int = 400, precision_digits: int = 40):
-    """G at tau (upper half-plane) as a complex; `order` caps the sums at q^order."""
+def eval_G(tau, order: int | None = None, precision_digits: int = 40):
+    """G at tau (upper half-plane) as a complex; an explicit `order` caps the sums at q^order."""
     import mpmath as mp
 
     with mp.workdps(precision_digits):
         return complex(_g_and_dg(tau, order)[0])
 
 
-def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
+def eval_P(tau, order: int | None = None, precision_digits: int = 40) -> float:
     """The weight-0 completion -DG(tau) - G(tau)/(2 pi Im tau), DG = q dG/dq, a float.
 
     Real when the class of tau is its own inverse; an imaginary part above 1e-8
@@ -437,7 +429,7 @@ def eval_P(tau, order: int = 400, precision_digits: int = 40) -> float:
     return val.real
 
 
-def eval_P_complex(tau, order: int = 400, precision_digits: int = 40):
+def eval_P_complex(tau, order: int | None = None, precision_digits: int = 40):
     """The weight-0 completion without the realness assertion, an mpc at precision_digits."""
     import mpmath as mp
 

@@ -1,3 +1,4 @@
+import itertools
 from math import prod
 
 import pytest
@@ -25,3 +26,11 @@ def test_helpers_match_brute_force():
         assert arith.is_squarefree(n) == all(n % (d * d) for d in divs[1:]), n
         assert sorted(arith.divisors_from_factorization(arith.factorization(n))) == divs, n
     assert not any(arith.is_prime(n) for n in (-7, -1, 0, 1))
+
+
+def test_pentagonal_lists_the_generalized_pentagonal_numbers_in_order():
+    got = list(itertools.islice(arith.pentagonal(), 400))
+    js = sorted((j for j in range(-200, 201) if j), key=lambda j: j * (3 * j - 1))
+    assert got == [(j * (3 * j - 1) // 2, (-1) ** (j % 2)) for j in js]
+    exponents = [e for e, _ in got]
+    assert exponents == sorted(set(exponents)) and exponents[0] == 1

@@ -183,6 +183,23 @@ def test_leaf_outputs_pinned(capsys, argv, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (["series", "j", "--order", "1000"],
+     "9639d51932e2e78d1717556fc06f38e65680c41aac8a246967e7b14447be93b2"),
+    (["series", "invdelta", "--order", "1000"],
+     "c3bd9b879a5990057319bc68c0fd88c8a146126deab1d982fe7d4417802700c4"),
+    (["trace", "--weight", "12", "--n", "97"],
+     "af7d32918246cf3c01736be23b3eafcc23a2be516dff2af40756fdf6dac0263c"),
+    (["trace", "--weight", "24", "--n", "40"],
+     "f27d4e59f66de5727a397bc77ab9ac23ff98e85f163e866ef72733ec7f68f3a8"),
+])
+def test_exact_kernel_outputs_pinned(capsys, argv, sha256):
+    # full stdout recorded while the products packed negative slots by nines'
+    # complements and the Euler product and the trace kept their own loops
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_singular_trace_checks_its_identity_at_working_precision(capsys, monkeypatch):
     # at n = 300 the trace is near 6.7e19, where a double's ulp is 8192, so a
     # point off by 1000 leaves the printed double sum on the exact integer;
@@ -302,6 +319,22 @@ def test_cft_zk_subcommand(capsys):
     rc, env, _ = run_json(capsys, ["cft", "zk", "--k", "1", "--order", "4"])
     assert rc == 0
     assert env["results"]["coefficients"]["1"] == "196884"
+
+
+@pytest.mark.parametrize("k, order", [("1", "-1"), ("3", "-4")])
+def test_cft_zk_negative_order_exits_2(capsys, k, order):
+    # refused as a usage error, not an IndexError (exit 1) or a message about
+    # coefficient lists
+    assert cli.main(["cft", "zk", "--k", k, "--order", order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order must be nonnegative\n"
+
+
+def test_cft_zk_order_zero_is_the_polar_part_and_constant(capsys):
+    rc, env, _ = run_json(capsys, ["cft", "zk", "--k", "3", "--order", "0"])
+    assert rc == 0
+    assert env["results"]["coefficients"] == {"-3": "1", "-2": "0", "-1": "1", "0": "1"}
 
 
 def test_cft_polar_table(capsys):

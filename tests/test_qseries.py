@@ -114,6 +114,15 @@ def test_hecke_multiplicativity(delta50):
                         == delta50.coefficient(m) * delta50.coefficient(n))
 
 
+def test_pk_coefficient_weight_12_is_the_displayed_polynomial():
+    # the polynomial of the one-sided tau(p) display, written out
+    for n in range(1, 400):
+        for t in range(-50, 51):
+            display = (t**10 - 9 * n * t**8 + 28 * n**2 * t**6 - 35 * n**3 * t**4
+                       + 15 * n**4 * t**2 - n**5)
+            assert qs.pk_coefficient(12, t, n) == display, (t, n)
+
+
 def test_tau_congruence_mod_691():
     d = qs.delta_series(102)
     for n in range(1, 101):

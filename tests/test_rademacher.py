@@ -5,6 +5,7 @@ from math import gcd, log, pi, sqrt
 import mpmath as mp
 import pytest
 
+from classforms import arith
 from classforms import qseries as qs
 from classforms import rademacher as rd
 from classforms.quadforms import Form, class_number, enumerate_reduced, reduce as reduce_form
@@ -448,7 +449,7 @@ def test_pentagonal_sums_stop_at_their_stated_bound():
                 ln_x = log(qabs)
                 last = rd._pentagonal_last(ln_x, prec)
                 exps = [0] + [e for e, _ in itertools.takewhile(
-                    lambda t: t[0] <= 2 * last + 10, rd._pentagonal())]
+                    lambda t: t[0] <= 2 * last + 10, arith.pentagonal())]
                 kept = [e for e in exps if e <= last]
                 left = exps[len(kept)]
                 assert rd._ln_tail_bound(left, ln_x) < -prec * log(2.0)
@@ -641,6 +642,18 @@ def test_eval_P_real_at_ambiguous_point_complex_elsewhere():
     assert v1 == pytest.approx(v2.conjugate(), rel=1e-9)
     with pytest.raises(PrecisionError):
         rd.eval_P(rd.cm_root(points[1], 40), order=400, precision_digits=40)
+
+
+def test_cm_evaluators_default_to_their_own_tail_bound():
+    # the lowest point of n = 30 has |q| = 0.856: a cap at q^400 cuts its sums
+    # short, while the default lets each stop at its tail bound
+    lowest = max(rd.enumerate_QD(30), key=lambda f: f.a)
+    assert lowest == Form(540, 721, 241)
+    tau = rd.cm_root(lowest, 40)
+    with pytest.raises(PrecisionError):
+        rd.eval_P_complex(tau, order=400)
+    assert rd.eval_P_complex(tau) == rd.eval_P_complex(tau, order=10**6)
+    assert rd.eval_G(tau) == rd.eval_G(tau, order=10**6)
 
 
 def test_trace_singular_moduli_small_n():

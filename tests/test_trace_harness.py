@@ -17,11 +17,16 @@ def _load_harness():
 
 
 def test_every_layer_entry_resolves_to_a_callable():
-    # resolution only: install() would rebind module globals for later tests
+    # resolution only: install() would rebind module globals for later tests.
+    # An entry whose hook is a counter name counts lru_cache misses, and
+    # install() reads cache_info() from it, so that must exist too
     harness = _load_harness()
-    for _, path, names, _, _ in harness.LAYER_ENTRIES:
+    for _, path, names, _, after in harness.LAYER_ENTRIES:
         owner = classforms
         for part in path.split("."):
             owner = getattr(owner, part)
         for name in names:
-            assert callable(getattr(owner, name, None)), f"{path}.{name}"
+            fn = getattr(owner, name, None)
+            assert callable(fn), f"{path}.{name}"
+            if isinstance(after, str):
+                assert callable(getattr(fn, "cache_info", None)), f"{path}.{name} is not cached"
