@@ -199,9 +199,7 @@ def polar_count_sieve(mmax: int) -> list:
 
     if mmax < 1:
         raise ValueError("mmax must be positive")
-    # widened before scaling, so 6h cannot overflow the int32 table's type
-    w = tables.class_number_table(4 * mmax).astype(np.int64)
-    w *= 6
+    w = 6 * tables.class_number_table(4 * mmax)
     w[1:: 4] = w[2:: 4] = w[0] = 0
     w[3], w[4] = 2, 3
     W = np.zeros(mmax + 1, dtype=np.int64)

@@ -40,14 +40,14 @@ _INT32_LIMIT = 6 * 10**9
 def reduced_form_counts(limit: int) -> np.ndarray:
     """counts[n] = number of reduced forms (primitive or not) with |D| = n <= limit.
 
-    An int32 array, as is the sweep; ValueError for limit > 6*10^9, past which a
-    count could overflow it.
+    The sweep runs in int32 and raises ValueError for limit > 6*10^9, past which
+    a count could overflow it.
     """
     import numpy as np
 
     if limit > _INT32_LIMIT:
         raise ValueError(f"limit = {limit} exceeds {_INT32_LIMIT}, where int32 counts could overflow")
-    counts = np.zeros(limit + 1, dtype=np.int32)
+    counts = np.zeros(limit + 1, dtype=np.int64)
     amax = isqrt(limit // 3)
     for r in (0, 3):
         size = len(counts[r::4])
@@ -103,7 +103,7 @@ def class_number_table(limit: int) -> np.ndarray:
 
     Counts of all forms relate to primitive counts by summation over square
     divisors, inverted here with the Mobius function: h(n) = sum over f of
-    mu(f) * counts(n / f^2).  int32, like the counts, which bound it.
+    mu(f) * counts(n / f^2).
     """
     counts = reduced_form_counts(limit)
     h = counts.copy()

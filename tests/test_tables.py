@@ -31,14 +31,14 @@ def test_reduced_form_counts_match_strided_sweep_at_every_small_limit():
     want = reduced_form_counts_strided(2500)
     for limit in range(0, 2501):
         got = tables.reduced_form_counts.__wrapped__(limit)
-        assert got.dtype == np.int32 and len(got) == limit + 1, limit
+        assert got.dtype == np.int64 and len(got) == limit + 1, limit
         assert np.array_equal(got, want[: limit + 1]), limit
 
 
 @pytest.mark.parametrize("limit", [10**5, 10**5 + 1, 10**5 + 2, 10**5 + 3, 120000, 1003999])
 def test_reduced_form_counts_match_strided_sweep_at_large_limits(limit):
     got = tables.reduced_form_counts.__wrapped__(limit)
-    assert got.dtype == np.int32
+    assert got.dtype == np.int64
     assert np.array_equal(got, reduced_form_counts_strided(limit))
 
 
