@@ -2,8 +2,9 @@
 
 Short Weierstrass curves y^2 = x^3 + Ax + B over F_q (q prime, q > 3) are
 enumerated up to isomorphism by merging (A, B) orbits under
-(A, B) -> (u^4 A, u^6 B); point counts come from an exhaustive x-scan with
-the quadratic character.  The per-trace class counts are then compared with
+(A, B) -> (u^4 A, u^6 B); point counts come from an exhaustive x-scan
+against one table of square roots mod q, which also lists the points for
+the torsion counts.  The per-trace class counts are then compared with
 the square-divisor class-number sums: the census matches the unweighted
 (Kronecker) sum, while the stabilizer-weighted variant is reported alongside
 for the discriminants -3 and -4 where the two differ.
@@ -36,7 +37,7 @@ def _check_field(q: int):
     if q <= 3:
         raise ValueError("short Weierstrass models need q > 3")
     if q > 200:
-        raise ValueError("census is O(q^3); fields beyond 200 are out of range")
+        raise ValueError(f"q = {q} exceeds the census bound q <= 200 (the census is O(q^2))")
 
 
 @lru_cache(maxsize=32)
@@ -49,7 +50,7 @@ def enumerate_curves(q: int):
     class.
     """
     _check_field(q)
-    chi = _character_table(q)
+    roots = _square_roots(q)
     powers = [(pow(u, 4, q), pow(u, 6, q)) for u in range(1, q)]
     seen = [[False] * q for _ in range(q)]
     classes = []
@@ -62,7 +63,7 @@ def enumerate_curves(q: int):
             orbit = {(u4 * a % q, u6 * b % q) for u4, u6 in powers}
             for oa, ob in orbit:
                 seen[oa][ob] = True
-            count = q + 1 + sum(chi[(x * x * x + a * x + b) % q] for x in range(q))
+            count = 1 + sum(len(roots[(x * x * x + a * x + b) % q]) for x in range(q))
             t = q + 1 - count
             if t * t > 4 * q:
                 raise ArithmeticError(f"Hasse bound violated at q={q}, (A,B)=({a},{b})")
@@ -70,12 +71,12 @@ def enumerate_curves(q: int):
     return classes
 
 
-def _character_table(q: int):
-    chi = [-1] * q
-    chi[0] = 0
-    for x in range(1, q):
-        chi[x * x % q] = 1
-    return chi
+def _square_roots(q: int):
+    """roots[r]: the y mod q with y^2 = r, in increasing order (empty for non-squares)."""
+    roots = [[] for _ in range(q)]
+    for y in range(q):
+        roots[y * y % q].append(y)
+    return roots
 
 
 def isogeny_class_size(q: int, t: int) -> int:
@@ -132,12 +133,10 @@ def verify_deuring(q: int):
 
 
 def _point_set(q: int, a: int, b: int):
-    sqrt_table = {}  # the square roots of each square mod q; non-squares are absent
-    for y in range(q):
-        sqrt_table.setdefault(y * y % q, []).append(y)
+    roots = _square_roots(q)
     pts = [None]  # identity
     for x in range(q):
-        pts += [(x, y) for y in sqrt_table.get((x * x * x + a * x + b) % q, ())]
+        pts += [(x, y) for y in roots[(x * x * x + a * x + b) % q]]
     return pts
 
 

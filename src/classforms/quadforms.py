@@ -2,9 +2,10 @@
 
 A form [a, b, c] stands for a*x^2 + b*x*y + c*y^2 with integer coefficients.
 This module covers reduction, enumeration of reduced representatives, class
-numbers, and the two square-divisor class-number sums (the stabilizer-weighted
-one with weights 1/2 and 1/3 at discriminants -4 and -3, and the unweighted
-one used for curve counts).  Everything here is a pure function on values.
+numbers, and the two square-divisor class-number sums: the unweighted one
+used for curve counts walks the square divisors, and the stabilizer-weighted
+one (weights 1/2 and 1/3 at discriminants -4 and -3) is read off it.
+Everything here is a pure function on values.
 """
 
 from fractions import Fraction
@@ -188,23 +189,16 @@ def hurwitz(n: int) -> Fraction:
     H(n) = sum over d^2 | n of h(n/d^2) weighted by 1/3 when the inner
     discriminant is -3 and by 1/2 when it is -4.  Equivalently: the count of
     all (not necessarily primitive) reduced forms of discriminant n, with
-    forms of shape [a,a,a] and [a,0,a] counted 1/3 and 1/2.  12*H(n) is
-    always an integer.
+    forms of shape [a,a,a] and [a,0,a] counted 1/3 and 1/2.  Only n = -3a^2
+    and n = -4a^2 have such a form, one each, so H(n) is the Kronecker count
+    less 2/3 or 1/2 there.  12*H(n) is always an integer.
     """
-    if n > 0:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(-1, 12)
-    if n % 4 not in (0, 1):
-        return Fraction(0)
-    total = Fraction(0)
-    for inner in _inner_discriminants(n):
-        if inner == -3:
-            total += Fraction(1, 3)
-        elif inner == -4:
-            total += Fraction(1, 2)
-        else:
-            total += class_number(inner)
+    if n >= 0:
+        return Fraction(-1, 12) if n == 0 else Fraction(0)
+    total = Fraction(kronecker_class_number(n))
+    for k, excess in ((3, Fraction(2, 3)), (4, Fraction(1, 2))):
+        if n % k == 0 and isqrt(-n // k) ** 2 == -n // k:
+            total -= excess
     return total
 
 
@@ -218,11 +212,6 @@ def kronecker_class_number(n: int) -> int:
     """
     if n >= 0 or n % 4 not in (0, 1):
         return 0
-    return sum(class_number(inner) for inner in _inner_discriminants(n))
-
-
-def _inner_discriminants(n: int):
-    """n/d^2 over the d with d^2 | n whose quotient is a discriminant, for n < 0."""
     root = [(p, e // 2) for p, e in factorization(-n) if e >= 2]
     quotients = (n // (d * d) for d in divisors_from_factorization(root))
-    return [inner for inner in quotients if inner % 4 in (0, 1)]
+    return sum(class_number(inner) for inner in quotients if inner % 4 in (0, 1))

@@ -30,6 +30,9 @@ sum at its own |q| once a stated tail bound is below the working precision,
 and raises PrecisionError when an explicit order cuts it first.  G and P take T_0, T_1
 and T_2 at q, q^2, q^3, q^6; attractor takes T_0 at q and q^2 for j.
 
+Kloosterman sums (_kloosterman_at), Bessel values (_bessel_mpf) and G
+(_g_and_dg) have no public wrappers: the tests hold these kernels to their oracles.
+
 mpmath is imported inside each function that uses it: every command is a
 fresh process, so only the sums, CM-point values and class polynomials pay
 for loading it.
@@ -70,29 +73,6 @@ class RademacherParams(_Truncation):
         return self
 
 
-def kloosterman(m: int, n: int, c: int, precision_digits: int = 30) -> float:
-    """K(m, n; c) = sum over units d mod c of exp(2 pi i (m dbar + n d)/c).
-
-    The sum is real because d and -d pair off: the residue m dbar + n d of d
-    and that of -d are negatives of each other.  The residues are counted
-    into bins mod c, and the pairing is checked exactly, as count[r] ==
-    count[c - r] for every r; a mismatch raises ArithmeticError.
-    K(m, n; 1) = 1: the unit group mod 1 is the single degenerate residue
-    with an empty exponent.
-    """
-    return float(_kloosterman_mpf(m, n, c, precision_digits))
-
-
-def _kloosterman_mpf(m: int, n: int, c: int, precision_digits: int):
-    """K(m, n; c) as an mpf at precision_digits, from integer residue bins."""
-    import mpmath as mp
-
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    with mp.workdps(precision_digits):
-        return _kloosterman_at(m, n, _modulus(c, precision_digits))
-
-
 def _modulus(c: int, precision_digits: int):
     """What every Kloosterman sum mod c shares: (c, units, inverses, cos table, bits).
 
@@ -125,11 +105,15 @@ def _modulus(c: int, precision_digits: int):
 
 
 def _kloosterman_at(m: int, n: int, modulus):
-    """K(m, n; c) from the shared table of _modulus, an mpf at the working precision.
+    """K(m, n; c) = sum over units d mod c of exp(2 pi i (m dbar + n d)/c), from the
+    shared table of _modulus, an mpf at the working precision.
 
-    The residues m dbar + n d are counted into bins mod c, the realness
-    check count[r] == count[c - r] is exact, and the dot product with the
-    cos table folds the two halves r and c - r into one term.
+    The sum is real because d and -d pair off, with residues m dbar + n d of
+    opposite sign.  The residues are counted into bins mod c, the pairing is
+    checked exactly as count[r] == count[c - r] (a mismatch raises
+    ArithmeticError), and the dot product with the cos table folds the two
+    halves r and c - r into one term.  K(m, n; 1) = 1: the unit group mod 1
+    is the single residue 0.
     """
     import mpmath as mp
 
@@ -149,22 +133,6 @@ def _kloosterman_at(m: int, n: int, modulus):
     if c % 2 == 0:
         total -= count[half] * cos_table[half]  # r = c/2 is its own partner
     return mp.ldexp(mp.mpf(total), -bits)
-
-
-def bessel_I(order: int, x, precision_digits: int = 30) -> float:
-    """Modified Bessel I_order(x), x > 0, at precision_digits."""
-    import mpmath as mp
-
-    with mp.workdps(precision_digits):
-        return float(_bessel_mpf("I", order, x))
-
-
-def bessel_J(order: int, x, precision_digits: int = 30) -> float:
-    """Bessel J_order(x), x > 0, from mpmath at precision_digits."""
-    import mpmath as mp
-
-    with mp.workdps(precision_digits):
-        return float(_bessel_mpf("J", order, x))
 
 
 def _bessel_mpf(kind: str, nu: int, x):
@@ -408,29 +376,11 @@ def _g_and_dg(tau, order: int | None):
     return g, dn / (2 * w) - g * dlog_w / 12
 
 
-def eval_G(tau, order: int | None = None, precision_digits: int = 40):
-    """G at tau (upper half-plane) as a complex; an explicit `order` caps the sums at q^order."""
-    import mpmath as mp
-
-    with mp.workdps(precision_digits):
-        return complex(_g_and_dg(tau, order)[0])
-
-
-def eval_P(tau, order: int | None = None, precision_digits: int = 40) -> float:
-    """The weight-0 completion -DG(tau) - G(tau)/(2 pi Im tau), DG = q dG/dq, a float.
-
-    Real when the class of tau is its own inverse; an imaginary part above 1e-8
-    relative raises PrecisionError.  Values at a general CM point come in
-    conjugate pairs (use eval_P_complex); only their sum over a discriminant is real.
-    """
-    val = complex(eval_P_complex(tau, order, precision_digits))
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise PrecisionError(f"P(tau) has imaginary residual {val.imag}")
-    return val.real
-
-
 def eval_P_complex(tau, order: int | None = None, precision_digits: int = 40):
-    """The weight-0 completion without the realness assertion, an mpc at precision_digits."""
+    """The weight-0 completion -DG(tau) - G(tau)/(2 pi Im tau), DG = q dG/dq, an mpc
+    at precision_digits; an explicit `order` caps the sums at q^order.  Real when
+    the class of tau is its own inverse; elsewhere values come in conjugate
+    pairs, and trace_singular_moduli asserts only their sum's realness."""
     import mpmath as mp
 
     with mp.workdps(precision_digits):

@@ -200,6 +200,23 @@ def test_exact_kernel_outputs_pinned(capsys, argv, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (["ecc", "verify", "--q", "199"],
+     "6fe5934699935b68ac9325401221981bdfee4d445368c840e0741e195544afc8"),
+    (["ecc", "torsion", "--q", "181", "--n", "5"],
+     "df6873d07c41aed13ac984812aae4a784d1f4099defc7c1ffa7458998f23a65f"),
+    (["trace", "--weight", "24", "--n", "400"],
+     "08f39b3cb2b70f641473480ae18de7e678aa9ec0b60aaee3a7fef466e851462f"),
+    (["trace", "--weight", "12", "--n", "997"],
+     "2c6a625517a0f7ac5286cb1c7f7e7293b9f8016b8ab876b6a6d3b6f96e39d4c5"),
+])
+def test_class_number_sum_outputs_pinned(capsys, argv, sha256):
+    # full stdout recorded while H(n) walked its own square divisors and the
+    # census kept a quadratic-character table beside the square roots
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_singular_trace_checks_its_identity_at_working_precision(capsys, monkeypatch):
     # at n = 300 the trace is near 6.7e19, where a double's ulp is 8192, so a
     # point off by 1000 leaves the printed double sum on the exact integer;
@@ -313,6 +330,14 @@ def test_ecc_torsion_invalid_modulus_exits_2(capsys, q, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_ecc_verify_beyond_the_census_bound_exits_2(capsys):
+    # refused as a usage error before the census starts, naming the bound hit
+    assert cli.main(["ecc", "verify", "--q", "211"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q = 211 exceeds the census bound q <= 200 (the census is O(q^2))\n"
 
 
 def test_cft_zk_subcommand(capsys):
