@@ -19,7 +19,7 @@ from math import gcd, isqrt, log, pi, prod
 from typing import NamedTuple
 
 from . import tables
-from .arith import is_prime, prime_divisors, xgcd
+from .arith import factorization, is_prime, prime_divisors, xgcd
 from .quadforms import (Form, _check_disc, as_form, class_number, enumerate_reduced,
                         is_fundamental, reduce)
 
@@ -301,12 +301,16 @@ def ng_count(g: int, x: int) -> int:
 
     C(-D) is read as the class group of Q(sqrt(-D)), i.e. of discriminant -D
     or -4D as forced by the residue of D mod 4.  An abelian group has an
-    element of order g iff g divides its exponent, which needs g | h; only
-    where the class-number table shows g | h is the structure computed, by
-    group_structure's walks over cyclic subgroups.
+    element of order g iff g divides its exponent, which needs g | h.  For
+    each prime p with p || g, p | h already gives an element of order p
+    (Cauchy), and elements of coprime orders multiply to one of the product
+    order; so where the class-number table shows g | h, only the prime
+    powers p^e || g with e >= 2 are left to test against the exponent, and
+    group_structure runs only when g has such a square factor.
     """
     if g < 2 or x < 1:
         raise ValueError("need g >= 2 and x >= 1")
+    square_part = prod(p**e for p, e in factorization(g) if e >= 2)
     sf = tables.squarefree_mask(x)
     h = tables.class_number_table(4 * x)
     count = 0
@@ -316,8 +320,10 @@ def ng_count(g: int, x: int) -> int:
         disc = -d if d % 4 == 3 else -4 * d
         if h[-disc] % g:
             continue
-        desc = group_structure(disc)
-        exponent = desc.elementary_divisors[-1] if desc.elementary_divisors else 1
-        if exponent % g == 0:
-            count += 1
+        if square_part > 1:
+            desc = group_structure(disc)
+            exponent = desc.elementary_divisors[-1] if desc.elementary_divisors else 1
+            if exponent % square_part:
+                continue
+        count += 1
     return count

@@ -13,6 +13,7 @@ its precision or truncation budget (PrecisionError; stderr gives the residual).
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -388,6 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No command calls a BLAS routine, so numpy's OpenBLAS gets one thread
+    # rather than a worker that costs start-up and CPU time; it reads the
+    # variable when numpy is first imported, which no handler has done yet.
+    # A caller's own setting is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:

@@ -13,7 +13,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import divisors_from_factorization, factorization, is_squarefree
+from .arith import (crt_roots, divisors_from_factorization, factorization, is_squarefree,
+                    smallest_prime_factors, sqrt_mod_prime_power)
 
 
 class Form(NamedTuple):
@@ -129,28 +130,52 @@ def _check_disc(D: int):
 def enumerate_reduced(D: int, primitive_only: bool = True):
     """All reduced forms of discriminant D < 0, sorted by (a, b, c).
 
-    3a^2 <= |D| bounds the scan, which runs over increasing a, then b, and
-    (a, b) fix c, so the list comes out sorted.  By default only primitive
-    forms are listed (their count is the class number h(D)); with
-    primitive_only=False imprimitive forms are included as well, which is
-    the population the weighted class-number sum counts.
+    3a^2 <= |D| bounds a, and b^2 = D (mod 4a) holds for every form, so the
+    b of each a are the square roots of D mod 4a below 2a, moved into
+    (-a, a] (Cohen, GTM 138, section 5.3).  With a = 2^k m, m odd, they are
+    the Chinese-remainder combinations of the roots of D mod 2^(k+2) below
+    2^(k+1) and the roots of D mod m; the roots mod each odd m are built
+    once, from those of m / p^e and p^e with p the smallest prime factor of
+    m.  a rises and each a's b are sorted, and (a, b) fix c, so the list
+    comes out sorted.  By default only primitive forms are listed (their
+    count is the class number h(D)); with primitive_only=False imprimitive
+    forms are included as well, which is the population the weighted
+    class-number sum counts.
     """
     _check_disc(D)
     forms = []
     amax = isqrt(-D // 3)
+    spf = smallest_prime_factors(amax)
+    # two[k]: the roots of D mod 2^(k+2) below 2^(k+1), for every 2^k <= amax
+    two = [[x for x in sqrt_mod_prime_power(D, 2, k + 2) if x < 2 << k]
+           for k in range(amax.bit_length())]
+    odd = [[0]] * (amax + 1)  # odd[m]: the roots of D mod m, set at a = m for odd m > 1
     for a in range(1, amax + 1):
-        # b matches the parity of D and lies in (-a, a]
-        b0 = -a + 1
-        if (b0 - D) % 2 != 0:
-            b0 += 1
-        for b in range(b0, a + 1, 2):
-            num = b * b - D
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if c == a and b < 0:
+        k = (a & -a).bit_length() - 1
+        m = a >> k
+        if not k and m > 1:
+            p = q = spf[m]
+            e = 1
+            while m // q % p == 0:
+                q *= p
+                e += 1
+            rest = m // q
+            if rest == 1:
+                odd[m] = sqrt_mod_prime_power(D, p, e)
+            else:
+                odd[m] = crt_roots(odd[rest], rest, odd[q], q) if odd[rest] and odd[q] else []
+        roots = odd[m]
+        if not roots:
+            continue
+        if not k:  # b mod 2a: the root mod a or that plus a, whichever has the parity of D
+            roots = [x if (x - D) % 2 == 0 else x + a for x in roots]
+        else:
+            roots = crt_roots(two[k], 2 << k, roots, m) if m > 1 else two[k]
+        bs = [x - 2 * a if x > a else x for x in roots]
+        bs.sort()
+        for b in bs:
+            c = (b * b - D) // (4 * a)
+            if c < a or (c == a and b < 0):
                 continue
             if primitive_only and gcd(gcd(a, b), c) != 1:
                 continue

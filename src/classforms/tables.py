@@ -1,7 +1,7 @@
 """Bulk tables over discriminant ranges, built with dense numpy sweeps.
 
-The per-discriminant functions in quadforms cost O(|D|) each (enumeration
-visits about |D|/6 pairs (a, b) with a <= sqrt(|D|/3)), which is fine
+The per-discriminant functions in quadforms take one square-root step per
+a <= sqrt(|D|/3) and one Python call per discriminant, which is fine
 pointwise but hopeless for scans up to 10^6.  Here the whole family of
 reduced forms below a bound is swept once.  A reduced form [a,b,c]
 contributes to |D| = 4ac - b^2 = 4k + r with r = 0 for even b and r = 3 for
@@ -15,8 +15,9 @@ Array indices are |D| (so index 84 holds data for D = -84).  Entries at
 indices with |D| % 4 not in {0, 3} are zero.
 
 The arithmetic tables (Mobius, omega, square-freeness, smallest prime
-factor) all read their primes from spf_table, the one prime sieve; single
-values are answered by arith.factorization instead.
+factor) all read their primes from spf_table, the one numpy prime sieve;
+single values are answered by arith.factorization instead, and the small
+moduli of the numpy-free form enumeration by arith.smallest_prime_factors.
 
 numpy is imported inside each function that uses it, not at module level.
 Every command is a fresh process, and classgroup imports this module, so a

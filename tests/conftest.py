@@ -7,12 +7,13 @@ orders by the full composition table, q-series products and inverses by the
 schoolbook double loop and the term-by-term recurrence, partition numbers by
 the pentagonal-number recurrence, level-6 representatives by a windowed
 search over coprime pairs and level-6 equivalence by a bounded matrix
-search, Kloosterman sums by one mpmath exponential per unit, Bessel I and J
-by their ascending series, P and j at CM points from their dense
-q-expansions by a fixed-point Horner sum, and that sum term by term in mpc,
-point counts by a direct (x, y) scan, reduced-form counts by one strided add
-per (a, b), fundamental discriminants by residues of n and n / 4, CSV lines
-cell by cell.
+search, reduced forms by a scan over every b in (-a, a], the order-g count
+of stats ng from each class group's whole structure, Kloosterman sums by
+one mpmath exponential per unit, Bessel I and J by their ascending series,
+P and j at CM points from their dense q-expansions by a fixed-point Horner
+sum, and that sum term by term in mpc, point counts by a direct (x, y)
+scan, reduced-form counts by one strided add per (a, b), fundamental
+discriminants by residues of n and n / 4, CSV lines cell by cell.
 """
 
 import random
@@ -602,6 +603,51 @@ def naive_point_count(q: int, a: int, b: int) -> int:
             if y * y % q == rhs:
                 count += 1
     return count
+
+
+# --- reduced forms by a scan over b ----------------------------------------------
+
+
+def reduced_forms_by_b_scan(D: int, primitive_only: bool = True, a_values=None):
+    """Reduced forms of discriminant D, sorted by (a, b, c): for each a with
+    3a^2 <= |D| (or each a of a_values, increasing) try every b in (-a, a] of
+    D's parity and keep the b with 4a | b^2 - D and c = (b^2 - D)/4a >= a."""
+    forms = []
+    for a in a_values if a_values is not None else range(1, isqrt(-D // 3) + 1):
+        b0 = -a + 1
+        if (b0 - D) % 2:
+            b0 += 1
+        for b in range(b0, a + 1, 2):
+            c, rem = divmod(b * b - D, 4 * a)
+            if rem or c < a or (c == a and b < 0):
+                continue
+            if primitive_only and gcd(gcd(a, b), c) != 1:
+                continue
+            forms.append(Form(a, b, c))
+    return forms
+
+
+# --- order-g counts from whole class-group structures ----------------------------
+
+
+@lru_cache(maxsize=2)
+def class_group_exponents(x: int):
+    """The exponent of C(-d), of discriminant -d or -4d by d mod 4, for every
+    square-free d <= x, each read off the whole group_structure once."""
+    from classforms.classgroup import group_structure
+
+    exponents = []
+    for d in range(1, x + 1):
+        if any(d % (p * p) == 0 for p in range(2, isqrt(d) + 1)):
+            continue
+        divisors = group_structure(-d if d % 4 == 3 else -4 * d).elementary_divisors
+        exponents.append(divisors[-1] if divisors else 1)
+    return exponents
+
+
+def ng_count_by_structure(g: int, x: int) -> int:
+    """Square-free d <= x whose class group has an element of order g, that is g | exponent."""
+    return sum(1 for e in class_group_exponents(x) if e % g == 0)
 
 
 # --- strided reduced-form counting oracle ---------------------------------------

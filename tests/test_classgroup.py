@@ -10,7 +10,8 @@ from classforms import quadforms as qf
 from classforms import tables
 from classforms.quadforms import Form
 
-from conftest import ideal_product_form, random_sl2, represents, table_orders
+from conftest import (ideal_product_form, ng_count_by_structure, random_sl2, represents,
+                      table_orders)
 
 
 def valid_discs(bound):
@@ -194,6 +195,17 @@ def test_group_structure_composition_budget(monkeypatch):
         assert calls[0] <= 2 * h, (D, calls[0])
 
 
+def test_structure_past_1e9():
+    # D = -3*5*7*11*13*17*19*23*29 is fundamental with nine prime factors, so
+    # genus theory gives 2-rank eight
+    D = -3234846615
+    desc = cg.group_structure(D)
+    assert math.prod(desc.elementary_divisors) == len(desc.representatives) == qf.class_number(D)
+    assert all(d2 % d1 == 0 for d1, d2 in zip(desc.elementary_divisors, desc.elementary_divisors[1:]))
+    assert sum(1 for d in desc.elementary_divisors if d % 2 == 0) == 8
+    assert cg.ambiguous_count(desc.representatives) == 2**8
+
+
 @st.composite
 def divisor_chains(draw, limit=3000, max_rank=8):
     """d1 | d2 | ... | dr with every d > 1 and product at most limit."""
@@ -371,3 +383,28 @@ def test_ng_count():
             expected += 1
     assert cg.ng_count(2, 100) == expected
     assert cg.ng_count(3, 23) >= 1  # C(-23) is cyclic of order 3
+
+
+def test_ng_count_matches_the_whole_structure_count():
+    for g in range(2, 31):
+        assert cg.ng_count(g, 1000) == ng_count_by_structure(g, 1000), g
+    for g in (3, 4, 9):
+        assert cg.ng_count(g, 5000) == ng_count_by_structure(g, 5000), g
+
+
+def test_ng_count_computes_structures_only_for_square_factors(monkeypatch):
+    # Cauchy answers square-free g from the class-number table alone; g = 12
+    # needs the 2-part of the exponent, so a structure where 12 | h
+    discs = []
+    group_structure = cg.group_structure
+
+    def counted(D):
+        discs.append(D)
+        return group_structure(D)
+
+    monkeypatch.setattr(cg, "group_structure", counted)
+    for g in (2, 3, 6, 30):
+        assert cg.ng_count(g, 1000) == ng_count_by_structure(g, 1000), g
+    assert discs == []
+    assert cg.ng_count(12, 1000) == ng_count_by_structure(12, 1000)
+    assert discs and all(qf.class_number(D) % 12 == 0 for D in discs)

@@ -497,6 +497,42 @@ def test_byte_identical_across_processes():
     assert outs[0] == outs[1]
 
 
+BLAS_CHILD = """
+import contextlib, io, os, sys
+from classforms import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["stats", "ng", "--g", "3", "--x", "100"]) == 0
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_numpy_runs_with_one_blas_thread_unless_the_caller_sets_it(preset):
+    # a fresh interpreter: this one has long since imported numpy
+    import os
+    import subprocess
+    import sys as _sys
+
+    import classforms
+
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads in")
+    src = str(Path(classforms.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([_sys.executable, "-c", BLAS_CHILD],
+                          capture_output=True, env=env, check=True)
+    threads, value = proc.stdout.decode().split()
+    if preset is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == preset
+
+
 def test_timing_flag_fills_wall_time(capsys):
     rc, env, _ = run_json(capsys, ["--timing", "classgroup", "-47"])
     assert rc == 0

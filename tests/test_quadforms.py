@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from classforms import quadforms as qf
 from classforms.quadforms import Form
 
-from conftest import class_count_by_orbit_closure, random_sl2
+from conftest import class_count_by_orbit_closure, random_sl2, reduced_forms_by_b_scan
 
 
 def test_discriminant_examples():
@@ -67,6 +68,34 @@ def test_enumerate_reduced_examples():
             for primitive_only in (True, False):
                 forms = [tuple(f) for f in qf.enumerate_reduced(D, primitive_only)]
                 assert forms == sorted(forms), D
+
+
+def test_enumeration_equals_the_b_scan_oracle():
+    # every form, primitive or not, and the primitive ones among them, for
+    # every discriminant down to -20000
+    for D in range(-3, -20000, -1):
+        if D % 4 in (0, 1):
+            every = reduced_forms_by_b_scan(D, primitive_only=False)
+            assert qf.enumerate_reduced(D, primitive_only=False) == every, D
+            assert qf.enumerate_reduced(D) == [f for f in every if f.is_primitive()], D
+
+
+@pytest.mark.parametrize("D", [
+    -3234846615,  # 3*5*7*11*13*17*19*23*29: eight factors of 2 in the group
+    -(2**31),  # the roots mod 2^(k+2) at every k, imprimitive forms at every power of 2
+])
+def test_enumeration_past_1e9_equals_the_b_scan_at_sampled_a(D, rng):
+    amax = math.isqrt(-D // 3)
+    picked = (set(range(1, 200)) | {2**k for k in range(amax.bit_length())}
+              | {5 * 3**k for k in range(9)} | set(rng.sample(range(200, amax + 1), 40)) | {amax})
+    sample = sorted(a for a in picked if a <= amax)
+    for primitive_only in (True, False):
+        forms = qf.enumerate_reduced(D, primitive_only)
+        assert forms == sorted(set(forms))
+        assert all(f.discriminant() == D and qf.is_reduced(f) for f in forms)
+        listed = set(sample)
+        got = [f for f in forms if f.a in listed]
+        assert got == reduced_forms_by_b_scan(D, primitive_only, sample), primitive_only
 
 
 def test_enumerate_reduced_one_per_class(rng):
