@@ -305,14 +305,18 @@ def ng_count(g: int, x: int) -> int:
     each prime p with p || g, p | h already gives an element of order p
     (Cauchy), and elements of coprime orders multiply to one of the product
     order; so where the class-number table shows g | h, only the prime
-    powers p^e || g with e >= 2 are left to test against the exponent, and
-    group_structure runs only when g has such a square factor.
+    powers p^e || g with e >= 2 are left to test against the exponent.  These
+    discriminants are fundamental, so by genus theory the 2-rank is
+    omega(|disc|) - 1: the 2-part is larger than an elementary 2-group, and 4
+    divides the exponent, iff 2^omega(|disc|) | h.  group_structure runs only
+    when 8 | g or p^2 | g for an odd p.
     """
     if g < 2 or x < 1:
         raise ValueError("need g >= 2 and x >= 1")
     square_part = prod(p**e for p, e in factorization(g) if e >= 2)
     sf = tables.squarefree_mask(x)
     h = tables.class_number_table(4 * x)
+    omega = tables.omega_table(4 * x) if square_part == 4 else None
     count = 0
     for d in range(1, x + 1):
         if not sf[d]:
@@ -320,7 +324,10 @@ def ng_count(g: int, x: int) -> int:
         disc = -d if d % 4 == 3 else -4 * d
         if h[-disc] % g:
             continue
-        if square_part > 1:
+        if omega is not None:
+            if h[-disc] % (1 << int(omega[-disc])):
+                continue
+        elif square_part > 1:
             desc = group_structure(disc)
             exponent = desc.elementary_divisors[-1] if desc.elementary_divisors else 1
             if exponent % square_part:

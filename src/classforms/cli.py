@@ -19,12 +19,12 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-# Every layer module is imported here, tables too though no handler names it:
-# `import classforms.cli` then binds each one on the package, where
-# perfbench/traced_child.py looks up the entry points it wraps.  The modules
-# themselves load numpy and mpmath only inside the functions that use them.
-from . import attractor, cftx, classgroup, eccensus, qseries, rademacher, tables  # noqa: F401
-from .quadforms import is_fundamental
+# The package registers every layer module lazily (classforms/__init__.py), so
+# this line binds the modules without running them: a layer is compiled and
+# run on the first attribute a handler reads from it, and a command pays only
+# for the layers it calls.  The modules load numpy and mpmath only inside the
+# functions that use them.
+from . import attractor, cftx, classgroup, eccensus, qseries, quadforms, rademacher
 
 
 def _fmt(x):
@@ -110,7 +110,7 @@ def _cmd_classgroup(args):
         "class_number": len(desc.representatives),
         "elementary_divisors": list(desc.elementary_divisors),
     }
-    if is_fundamental(D):
+    if quadforms.is_fundamental(D):
         # counted from the forms, not the walks, so it stays a check on the structure
         results["two_torsion_order"] = classgroup.ambiguous_count(desc.representatives)
         results["ggz_lower_bound"] = classgroup.ggz_lower_bound(D)

@@ -393,8 +393,9 @@ def test_ng_count_matches_the_whole_structure_count():
 
 
 def test_ng_count_computes_structures_only_for_square_factors(monkeypatch):
-    # Cauchy answers square-free g from the class-number table alone; g = 12
-    # needs the 2-part of the exponent, so a structure where 12 | h
+    # Cauchy answers square-free g from the class-number table alone, and
+    # genus theory answers 4 || g from the 2-rank; 8 | g and odd p^2 | g need
+    # the exponent's p-part, so a structure exactly where g | h
     discs = []
     group_structure = cg.group_structure
 
@@ -403,8 +404,12 @@ def test_ng_count_computes_structures_only_for_square_factors(monkeypatch):
         return group_structure(D)
 
     monkeypatch.setattr(cg, "group_structure", counted)
-    for g in (2, 3, 6, 30):
+    for g in (2, 3, 6, 30, 4, 12, 20):
         assert cg.ng_count(g, 1000) == ng_count_by_structure(g, 1000), g
     assert discs == []
-    assert cg.ng_count(12, 1000) == ng_count_by_structure(12, 1000)
-    assert discs and all(qf.class_number(D) % 12 == 0 for D in discs)
+    sf = tables.squarefree_mask(1000)
+    fundamental = [-d if d % 4 == 3 else -4 * d for d in range(1, 1001) if sf[d]]
+    for g in (8, 9, 36):
+        assert cg.ng_count(g, 1000) == ng_count_by_structure(g, 1000), g
+        assert discs == [D for D in fundamental if qf.class_number(D) % g == 0], g
+        discs.clear()

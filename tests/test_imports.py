@@ -1,8 +1,9 @@
-"""numpy and mpmath load only in the commands that use them.
+"""numpy, mpmath and the layer modules load only in the commands that use them.
 
 Every command is a fresh process, so a library imported at module level is
-paid for by every command.  The checks run in a fresh interpreter: the
-pytest session has long since imported both libraries and every layer.
+paid for by every command, and so is compiling a layer module it never
+calls.  The checks run in a fresh interpreter: the pytest session has long
+since imported both libraries and every layer.
 """
 
 import json
@@ -104,3 +105,59 @@ def test_exact_commands_load_neither_library(child_report):
 def test_rademacher_commands_load_mpmath_only(child_report):
     for argv in MPMATH_ONLY:
         assert _libraries_after(child_report, argv) == ["mpmath"], argv
+
+
+# The layers each command runs: its own module and those that module imports
+# names from.  The rest stay registered but unexecuted on the package.
+OWN_LAYERS = [
+    (["trace", "--weight", "12", "--n", "30"], ["arith", "qseries", "quadforms"]),
+    (["series", "delta", "--order", "60"], ["arith", "qseries"]),
+    (["ecc", "verify", "--q", "11"], ["arith", "eccensus", "quadforms"]),
+    (["classgroup", "-84"], ["arith", "classgroup", "quadforms"]),
+    (["bh", "tau", "1", "1", "6"], ["arith", "attractor", "quadforms", "rademacher"]),
+    (["rademacher", "tau", "--n", "3", "--cmax", "20"],
+     ["arith", "qseries", "quadforms", "rademacher"]),
+    (["stats", "ng", "--g", "3", "--x", "100"], ["arith", "classgroup", "quadforms", "tables"]),
+    (["cft", "polar", "--mmax", "50"], ["arith", "cftx", "tables"]),
+]
+
+LAYERS_CHILD = """
+import contextlib, io, json, sys, types
+
+def executed():
+    # a layer not yet run is still a LazyLoader module, of a ModuleType
+    # subclass; reading its type does not run it
+    return sorted(name.split(".", 1)[1] for name, module in list(sys.modules.items())
+                  if name.startswith("classforms.") and name != "classforms.cli"
+                  and type(module) is types.ModuleType)
+
+import classforms.cli
+report = {"import": executed()}
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        report["code"] = classforms.cli.main(argv)
+    report["command"] = executed()
+print(json.dumps(report))
+"""
+
+
+def _layer_report(argv):
+    out = subprocess.run(
+        [sys.executable, "-c", LAYERS_CHILD, json.dumps(argv)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return json.loads(out.stdout)
+
+
+def test_import_cli_executes_no_layer_module():
+    assert _layer_report(None)["import"] == []
+
+
+@pytest.mark.parametrize("argv, layers", OWN_LAYERS,
+                         ids=[" ".join(a[:2]) if a[1].isalpha() else a[0] for a, _ in OWN_LAYERS])
+def test_each_command_executes_only_its_own_layers(argv, layers):
+    report = _layer_report(argv)
+    assert report["code"] == 0
+    assert report["command"] == layers
