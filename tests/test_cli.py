@@ -201,6 +201,28 @@ def test_exact_kernel_outputs_pinned(capsys, argv, sha256):
 
 
 @pytest.mark.parametrize("argv, sha256", [
+    (["rademacher", "rd", "--d", "1", "--n", "4", "--cmax", "400"],
+     "a1f4b7843990510db99d8af18d119f28f0dca7f8866bd87c6291a9c2cf648890"),
+    (["cft", "zk", "--k", "2", "--cmax", "160"],
+     "66a1b70bf4dd2c2e8d6de0e015985ff7c4fe9122ef55f6acf91cadea60341be4"),
+    (["rademacher", "rd", "--d", "2", "--n", "3", "--cmax", "100", "--precision", "60"],
+     "7355b762e0bf1e6250dbfe9fd16f065054d191a79075312188d1f8b1016fda68"),
+    # Bessel arguments past the series regime: I_1 and I_13 at x ~ 688, J_11 at x ~ 1777
+    (["rademacher", "rd", "--d", "1", "--n", "3000", "--cmax", "5"],
+     "3e3ffbeeb05be4483c673e60869c713e9a28099d4a191a7bf9305ac17e03b879"),
+    (["rademacher", "invdelta", "--n", "3000", "--cmax", "5"],
+     "3026d2332afa497d9a1253bf5c0f39f16e8c84a4d67cde381d4cb07aec34684a"),
+    (["rademacher", "tau", "--n", "20000", "--cmax", "3"],
+     "77ea05c81648b07d222affae90ffa1b8c51e09bfda2534cca527d7c57c343e5e"),
+])
+def test_rademacher_sum_outputs_pinned(capsys, argv, sha256):
+    # full stdout recorded while the Kloosterman-Bessel kernel summed mpmath
+    # floats, with J from mpmath's besselj and I from its 0F1
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, sha256", [
     (["ecc", "verify", "--q", "199"],
      "6fe5934699935b68ac9325401221981bdfee4d445368c840e0741e195544afc8"),
     (["ecc", "torsion", "--q", "181", "--n", "5"],
