@@ -19,10 +19,10 @@ histogram and CDF) reads cross-checked values.  polar_count_formula is the
 same closed form for one m, kept as the sieve's oracle.  figure_data streams
 the normalized excess (P - m^2/12 - 5m/8)/sqrt(m) for plotting.
 
-numpy (for the sieve, the lattice count and the emitters) and rademacher's
-mpmath sums (for the identity check) are imported inside the functions that
-use them, so that `cft zk` without --cmax, like every command that needs
-neither library, starts without loading them.
+numpy (for the sieve, the lattice count and the emitters) is imported
+inside the functions that use it.  The identity check's Rademacher sums run
+in Python integers (rademacher._poincare_partials), so `cft zk`, with or
+without --cmax, starts without loading numpy or mpmath.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ def verify_zk_identity(k: int, cmax: int = 200, order: int = 6,
     The coefficient of q^n (n >= 1) on the expansion side is
     (r_{k,n} - r_{k-1,n}) + sum_{m=1}^{k-1} p(m) (r_{k-m,n} - r_{k-m-1,n})
     with r_{0,n} = 0, after substituting the exact integer trace values
-    (24m - 1) p(m).  Returns a dict with per-coefficient relative residuals
-    and their maximum over q^1..q^5.
+    (24m - 1) p(m).  Every r_{d,n} is the last of its exact dyadic partial
+    sums, rounded to the nearest float.  Returns a dict with per-coefficient
+    relative residuals and their maximum over q^1..q^5.
     """
     from .rademacher import RademacherParams, _double, _poincare_partials
 

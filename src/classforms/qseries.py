@@ -135,18 +135,22 @@ class QSeries:
         return QSeries(-self.valuation, [lead * c for c in g], n - self.valuation)
 
     def __pow__(self, k):
+        """k-th power by repeated squaring, starting from the first power the
+        bits of k need; s**0 is the unit series to the relative precision of s."""
         if k < 0:
             return self.inverse() ** (-k)
-        n = self.truncation_order - self.valuation
-        result = QSeries(0, [1] + [0] * (n - 1), n)
-        base = self
-        while k:
+        if k == 0:
+            n = self.truncation_order - self.valuation
+            return QSeries(0, [1] + [0] * (n - 1), n)
+        base = QSeries(self.valuation, _ints(self.coeffs), self.truncation_order)
+        result = None
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def shift(self, m):
         """Multiply by q^m."""

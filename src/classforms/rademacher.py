@@ -10,13 +10,18 @@ with B = J for m > 0 and B = I for m < 0.  The entry points fix (k, m):
     tau(n) beta                (12, 1)     J_11; beta - 1 is the n = 1 sum
 
 The kernel walks c once for a list of (m, n) pairs of one weight, so cftx's
-identity check and `rademacher tau` take one pass: each modulus builds its
-units, their inverses and one fixed-point cosine table (stated error bound),
-against which the Kloosterman sums are exact integer residue bins, and each
-c evaluates one Bessel value per distinct kind and |m| n: J from mpmath's
-besselj, I as (x/2)^nu / nu! 0F1(nu + 1; x^2/4).  Every sum converges
-absolutely (the weight-12 terms are O(c^-11.5)) and is read off its last
-partial sum at params.cmax.
+identity check and `rademacher tau` take one pass, and it runs in Python
+integers at scale 2^-bits throughout, as Johansson computes these sums (LMS
+J. Comput. Math. 2012).  Each modulus builds its units, their inverses and
+one fixed-point cosine table, against which the Kloosterman sums are exact
+integer residue bins; each c evaluates one fixed-point Bessel value per
+distinct kind and |m| n (_bessel_fixed: the ascending series below a
+threshold set by the bits wanted, Hankel's expansions above it) and adds
+the integer K B / c to each pair's accumulator.  pi, ln 2 and the root of
+unity behind each table come from integer series, the prefactors from
+isqrt, and the partial sums come back as exact dyadic Fractions, which
+float() rounds correctly.  Every sum converges absolutely (the weight-12
+terms are O(c^-11.5)) and is read off its last partial sum at params.cmax.
 
 The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
@@ -30,15 +35,18 @@ sum at its own |q| once a stated tail bound is below the working precision,
 and raises PrecisionError when an explicit order cuts it first.  G and P take T_0, T_1
 and T_2 at q, q^2, q^3, q^6; attractor takes T_0 at q and q^2 for j.
 
-Kloosterman sums (_kloosterman_at), Bessel values (_bessel_mpf) and G
+Kloosterman sums (_kloosterman_at), Bessel values (_bessel_fixed) and G
 (_g_and_dg) have no public wrappers: the tests hold these kernels to their oracles.
 
-mpmath is imported inside each function that uses it: every command is a
-fresh process, so only the sums, CM-point values and class polynomials pay
-for loading it.
+mpmath is imported inside each function that uses it, and only the CM-point
+values do: every command is a fresh process, so only `singular-trace` and
+the class polynomials pay for loading it.
 """
 
-from math import ceil, exp, expm1, factorial, gcd, isinf, log, log1p, log2, pi, sqrt
+from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from math import ceil, exp, expm1, factorial, floor, isqrt, lgamma, log, log1p, log2, pi, sqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -46,6 +54,7 @@ from .arith import pentagonal
 from .quadforms import Form, enumerate_reduced, reduce
 
 _LN2 = log(2.0)
+_LOG2E = 1 / _LN2
 
 
 # working-precision floor of the sums and of trace_singular_moduli
@@ -73,40 +82,132 @@ class RademacherParams(_Truncation):
         return self
 
 
+# ---------------------------------------------------------------------------
+# fixed-point constants and elementary functions: integers at scale 2^-bits
+# ---------------------------------------------------------------------------
+
+
+def _round_shift(v: int, shift: int) -> int:
+    """v / 2^shift rounded to an integer (half up); a left shift when shift <= 0."""
+    if shift <= 0:
+        return v << -shift
+    return (v + (1 << (shift - 1))) >> shift
+
+
+def _arctan_inverse(q: int, bits: int, hyperbolic: bool) -> int:
+    """atan(1/q), or atanh(1/q), times 2^bits for q >= 2, from the Taylor series.
+
+    q^-(2j+1) 2^bits is floored by nested floor divisions, which are exact
+    floors, and each term once more by its 1/(2j + 1): the sum is short by
+    under one unit per term, and the tail after the first zero term is under
+    1.2 units.
+    """
+    power = (1 << bits) // q
+    q2 = q * q
+    total, k, sign = 0, 1, 1
+    while power:
+        total += sign * (power // k)
+        power //= q2
+        k += 2
+        if not hyperbolic:
+            sign = -sign
+    return total
+
+
+@lru_cache(maxsize=None)
+def _pi(bits: int) -> int:
+    """pi * 2^bits within one unit: Machin's 16 atan(1/5) - 4 atan(1/239) at
+    bits + g, off by under 20 (T + 2) < 2^(g - 2) units over its T < bits + g
+    terms, then rounded."""
+    g = bits.bit_length() + 7
+    v = 16 * _arctan_inverse(5, bits + g, False) - 4 * _arctan_inverse(239, bits + g, False)
+    return _round_shift(v, g)
+
+
+@lru_cache(maxsize=None)
+def _ln2(bits: int) -> int:
+    """ln 2 * 2^bits within one unit: 2 atanh(1/3) at bits + g, then rounded."""
+    g = bits.bit_length() + 5
+    return _round_shift(2 * _arctan_inverse(3, bits + g, True), g)
+
+
+def _taylor_exp(t: int, bits: int, imaginary: bool):
+    """e^t, or (cos t, sin t) when imaginary, for 0 <= t <= 4 at scale 2^bits.
+
+    Each value is within one unit.  The terms t^n/n! are summed at bits + g:
+    each is one floored product and one floored division from the last, under
+    two units of its own error, which later terms carry forward times at most
+    e^t < 55, so T terms (T < bits + g + 12) leave under 110 T < 2^(g - 2) units.
+    """
+    g = bits.bit_length() + 9
+    w = bits + g
+    t <<= g
+    term, n = 1 << w, 0
+    sums = [term, 0, 0, 0]  # the terms with n = 0, 1, 2, 3 mod 4
+    while term:
+        n += 1
+        term = (term * t >> w) // n
+        sums[n & 3] += term
+    if imaginary:
+        return _round_shift(sums[0] - sums[2], g), _round_shift(sums[1] - sums[3], g)
+    return _round_shift(sum(sums), g)
+
+
+# ---------------------------------------------------------------------------
+# Kloosterman sums
+# ---------------------------------------------------------------------------
+
+
 def _modulus(c: int, precision_digits: int):
     """What every Kloosterman sum mod c shares: (c, units, inverses, cos table, bits).
 
-    The units d mod c (d = 0 alone when c = 1) and their inverses, and a
-    fixed-point table of cos(2 pi k/c) * 2^bits, k <= c/2, built from one
-    rounded root of unity by Gaussian-integer products (the exponential-sum
-    technique of Johansson, LMS J. Comput. Math. 2012).  A Poincare sum
-    builds it once per c for all its (m, n); it is not cached across calls,
-    which saved no time on the Rademacher sums and raised their peak memory.
+    The units d mod c (d = 0 alone when c = 1), sieved off the multiples of
+    c's prime divisors, their inverses, and a fixed-point table of
+    cos(2 pi k/c) * 2^bits, k <= c/2, built from one rounded cos(2 pi/c) by
+    Chebyshev's recurrence (fixed-point exponential sums as in Johansson,
+    LMS J. Comput. Math. 2012); cos(2 pi/c) is _taylor_exp's at integer pi.
+    A Poincare sum builds it once per c for all its (m, n); it is not cached
+    across calls, which saved no time on the Rademacher sums and raised their
+    peak memory.
     """
-    import mpmath as mp
-
-    units = [d for d in range(c) if gcd(d, c) == 1]
+    coprime = bytearray(b"\x01") * c
+    rest, p = c, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            coprime[::p] = bytes(-(-c // p))
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        coprime[::rest] = bytes(-(-c // rest))
+    units = list(compress(range(c), coprime))
     inverses = [pow(d, -1, c) for d in units]
-    # Rounding omega costs under one unit of 2^-bits and each floored product
-    # under two more, so the k-th power is off by under 3k <= 1.5c units;
-    # phi(c) < c entries are summed, so the total stays below 1.5 c^2 units,
-    # which the 2 * bit_length(c) + 1 guard bits hold under 10^-precision_digits.
-    bits = ceil(precision_digits * log2(10.0)) + 2 * c.bit_length() + 1
-    with mp.workprec(bits + 10):
-        omega = mp.expjpi(mp.mpf(2) / c)
-        w_re = int(mp.nint(mp.ldexp(omega.real, bits)))
-        w_im = int(mp.nint(mp.ldexp(omega.imag, bits)))
+    # cos k theta, theta = 2 pi/c, by the three-term recurrence
+    # cos (k+1) theta = 2 cos theta cos k theta - cos (k-1) theta, one product
+    # per entry.  cos theta is rounded to within one unit, and each step adds
+    # under 3 units of its own (the floor, and 2 cos theta's rounding times
+    # |cos k theta| <= 1); the error of step j reaches entry k times
+    # sin((k - j) theta)/sin theta, at most k - j, so entry k is off by under
+    # k + 3k^2/2 <= 2k^2 <= c^2/2 units.  phi(c) < c entries are summed, so the
+    # total stays below c^3/2 units, which the 3 bit_length(c) guard bits hold
+    # under 10^-precision_digits / 2.
+    bits = ceil(precision_digits * log2(10.0)) + 3 * c.bit_length()
     cos_table = [1 << bits]
-    z_re, z_im = 1 << bits, 0
-    for _ in range(c // 2):
-        z_re, z_im = (z_re * w_re - z_im * w_im) >> bits, (z_re * w_im + z_im * w_re) >> bits
-        cos_table.append(z_re)
+    if c > 1:
+        # 2 pi/c at bits + 4 is off by under 3 units and its cosine by one more,
+        # so cos theta rounds to within 1/2 + 4/16 units
+        cos_theta = _round_shift(_taylor_exp(2 * _pi(bits + 4) // c, bits + 4, True)[0], 4)
+        cos_table.append(cos_theta)
+        two_cos = 2 * cos_theta
+        for k in range(1, c // 2):
+            cos_table.append((two_cos * cos_table[k] >> bits) - cos_table[k - 1])
     return c, units, inverses, cos_table, bits
 
 
-def _kloosterman_at(m: int, n: int, modulus):
-    """K(m, n; c) = sum over units d mod c of exp(2 pi i (m dbar + n d)/c), from the
-    shared table of _modulus, an mpf at the working precision.
+def _kloosterman_at(m: int, n: int, modulus) -> int:
+    """K(m, n; c) = sum over units d mod c of exp(2 pi i (m dbar + n d)/c), times
+    2^bits: the integer total against the shared table of _modulus, which
+    holds it within 10^-precision_digits of K.
 
     The sum is real because d and -d pair off, with residues m dbar + n d of
     opposite sign.  The residues are counted into bins mod c, the pairing is
@@ -115,9 +216,7 @@ def _kloosterman_at(m: int, n: int, modulus):
     halves r and c - r into one term.  K(m, n; 1) = 1: the unit group mod 1
     is the single residue 0.
     """
-    import mpmath as mp
-
-    c, units, inverses, cos_table, bits = modulus
+    c, units, inverses, cos_table, _ = modulus
     count = [0] * c
     for d, dbar in zip(units, inverses):
         count[(m * dbar + n * d) % c] += 1
@@ -132,75 +231,246 @@ def _kloosterman_at(m: int, n: int, modulus):
     total = count[0] * cos_table[0] + 2 * sum(map(mul, count[1:half + 1], cos_table[1:]))
     if c % 2 == 0:
         total -= count[half] * cos_table[half]  # r = c/2 is its own partner
-    return mp.ldexp(mp.mpf(total), -bits)
+    return total
 
 
-def _bessel_mpf(kind: str, nu: int, x):
-    """I_nu(x) (kind "I") or J_nu(x) (kind "J") at the working precision.
+# ---------------------------------------------------------------------------
+# Bessel functions I_nu and J_nu in fixed point
+# ---------------------------------------------------------------------------
 
-    I_nu(x) = (x/2)^nu / nu! 0F1(; nu + 1; x^2/4), from mpmath's 0F1 without
-    the hypercomb wrapper of mpmath's besseli, which costs four to six times as
-    much for the same digits; J is mp.besselj, fast at integer order.
+
+def _log2_ceiling(kind: str, nu: int, x: float) -> int:
+    """An integer e with |B_nu(x)| < 2^e, within two bits of |I| and of J's envelope.
+
+    |J_nu| <= min(1, (x/2)^nu/nu!) (DLMF 10.14.1, 10.14.4).  I_nu is at most
+    (x/2)^nu e^x/nu!, term by term against I_0 <= cosh, and at most
+    I_0 <= (pi/2) e^x/sqrt(2 pi x), from cos t <= 1 - 2t^2/pi^2 in
+    I_0(x) = (1/pi) int_0^pi e^(x cos t) dt.
     """
-    import mpmath as mp
+    head = nu * log2(x / 2) - log2(factorial(nu))
+    if kind == "J":
+        bound = min(0.0, head)
+    else:
+        bound = min(head, log2(pi / 2) - 0.5 * log2(2 * pi * x)) + x * _LOG2E
+    return floor(bound + 0.01) + 1
 
+
+def _hankel_precision(kind: str, nu: int, x: float, top: int):
+    """The working precision w of Hankel's expansions for |B_nu(x)| 2^bits < 2^top,
+    or None where _bessel_fixed takes the ascending series instead.
+
+    w = top + g, with 2^g >= 32 (x + 1 + F)(2 nu + 4) for _bessel_hankel's
+    floors and remainder: F = 1 for J, and for I Olver's remainder factor
+    2 chi(K) e^(pi |nu^2 - 1/4|/x), chi(K) <= sqrt(pi (K + 2)/2) over
+    K <= x + 1 terms.  The expansions reach 2^-w within floor(x) terms where
+    x >= nu^2/2 and the bound below holds: every term ratio
+    |4 nu^2 - (2k - 1)^2|/(8 k x) is then at most 1, and at most k/(2x) <= 1/2
+    for nu < k <= x, so the term at k0 = floor(x) is at most
+    k0!/(nu! (2x)^(k0 - nu)), which must be below 2^-(w + 2).  That also puts
+    x above w ln 2 / 2, where the e^-2x companion of I's expansion is below 2^-w.
+    """
+    if x < max(nu * nu / 2, nu + 2):
+        return None
+    f = 1.0 if kind == "J" else 2 * sqrt(pi * (x + 3) / 2) * exp(pi * abs(nu * nu - 0.25) / x)
+    w = top + ceil(log2((x + 1 + f) * (2 * nu + 4))) + 5
+    k0 = floor(x)
+    if (lgamma(k0 + 1) - lgamma(nu + 1)) / _LN2 - (k0 - nu) * log2(2 * x) > -(w + 2):
+        return None
+    return w
+
+
+def _bessel_fixed(kind: str, nu: int, num: int, den: int, bits: int) -> int:
+    """I_nu(x) (kind "I") or J_nu(x) (kind "J") times 2^bits, rounded to within
+    one unit, at x = num/den > 0 exactly; bits may be negative.
+
+    With |B| 2^bits < 2^top (_log2_ceiling), top <= 0 returns 0.  Otherwise
+    _hankel_precision chooses between _bessel_series and _bessel_hankel,
+    whose docstrings state their error bounds.  Arguments past 1e5 raise
+    OverflowError.
+    """
     if nu < 0:
         raise ValueError("order must be a nonnegative integer")
-    if x <= 0:
+    if num <= 0 or den <= 0:
         raise ValueError("argument must be positive")
+    x = num / den
     if x > 1e5:
         raise OverflowError("argument exceeds the configured evaluation range")
-    if kind == "J":
-        return mp.besselj(nu, x)
-    half = mp.mpf(x) / 2
-    # x^2/4 exactly: 0F1 grows like exp(x), so rounding it would lose log2(x) bits
-    return half**nu / factorial(nu) * mp.hyp0f1(nu + 1, mp.fmul(half, half, exact=True))
+    top = bits + _log2_ceiling(kind, nu, x)
+    if top <= 0:
+        return 0
+    w = _hankel_precision(kind, nu, x, top)
+    if w is None:
+        return _bessel_series(kind, nu, num, den, bits, x)
+    return _bessel_hankel(kind, nu, num, den, bits, w, x)
+
+
+def _bessel_series(kind: str, nu: int, num: int, den: int, bits: int, x: float) -> int:
+    """The ascending series sum_k (-1 for J)^k (x/2)^(2k + nu)/(k! (k + nu)!) at
+    x = num/den, times 2^bits within one unit.
+
+    Each term is one exact floor from the last, t_k = t_(k-1) num^2 /
+    (4 den^2 k (k + nu)), at scale 2^-w.  A unit lost at step k reaches the sum
+    times sum_(j>=k) t_j/t_k <= I_nu(x)/t_0 + 2 <= e^x + 2 (the terms rise
+    to a peak, then fall by half or more per step), so K terms leave
+    K (e^x + 3) units with the tail; w = bits + x log2(e) + g, 2^g >= 16 K,
+    holds that under a quarter unit of 2^-bits.  These are the x log2(e)
+    guard bits for J's cancellation.  The sum stops at the first zero term
+    past the ratio 1/2.
+    """
+    g = (8 * ceil(x) + 2 * max(bits, 0) + 256).bit_length() + 4
+    w = max(0, bits + ceil(x * _LOG2E) + g)
+    a, b = num * num, 4 * den * den
+    term = (num**nu << w) // ((2 * den) ** nu * factorial(nu))
+    total, k, signed = term, 0, kind == "J"
+    while True:
+        k += 1
+        step = b * k * (k + nu)
+        term = term * a // step
+        total += -term if signed and k & 1 else term
+        if not term and 2 * a <= step:
+            return _round_shift(total, w - bits)
+
+
+def _bessel_hankel(kind: str, nu: int, num: int, den: int, bits: int, w: int, x: float) -> int:
+    """Hankel's expansions at x = num/den, times 2^bits within one unit, summed at
+    the working precision w of _hankel_precision.
+
+    The terms t_k = a_k(nu)/x^k, a_k = prod_(j<=k) (4 nu^2 - (2j - 1)^2)/(8^k k!),
+    are each one floor from the last, off by under nu + 2 units (_hankel_precision's
+    term ratios), and stop at the first k > nu with |t_k| <= nu + 2 units.
+      J_nu = sqrt(2/(pi x)) (P cos a - Q sin a), a = x - (2 nu + 1) pi/4, with
+      P = sum (-1)^j t_2j and Q = sum (-1)^j t_(2j+1): the remainders of P and
+      Q do not exceed their first neglected terms (DLMF 10.17(iii); at least
+      nu/2 terms of each are summed).
+      I_nu = e^x/sqrt(2 pi x) sum (-1)^k t_k: Olver's bound (DLMF 10.40(ii),
+      10.40(iii)) holds the remainder within 2 chi(k) e^(pi |nu^2 - 1/4|/x)
+      times the first neglected term, and the e^-x companion term is below
+      e^-2x relative; the sum is at least 1/4 for x >= nu^2/2.  e^x is
+      e^r 2^n, n = floor(x/ln 2), with e^r from _taylor_exp.
+    The guard bits of w hold the floors, the remainder and the factors' few
+    units each under half a unit of 2^-bits.
+    """
+    mu = 4 * nu * nu
+    t = 1 << w
+    sums = [t, 0, 0, 0]  # the terms with k = 0, 1, 2, 3 mod 4
+    k = 0
+    while True:
+        k += 1
+        t = t * (mu - (2 * k - 1) ** 2) * den // (8 * k * num)
+        sums[k & 3] += t
+        if k > nu and abs(t) <= nu + 2:
+            break
+    if kind == "I":
+        n2 = floor(x / _LN2)
+        wr = w + n2.bit_length() + 4
+        ln2 = _ln2(wr)
+        r = (num << wr) // den - n2 * ln2  # x - n2 ln 2, within n2 + 1 units
+        while r < 0:
+            r, n2 = r + ln2, n2 - 1
+        while r >= ln2:
+            r, n2 = r - ln2, n2 + 1
+        e_r = _taylor_exp(r >> (wr - w), w, False)
+        h = (ceil(x).bit_length() + 5) // 2  # 2^h > sqrt(2 pi x): 1/sqrt(2 pi x) to w bits
+        root = isqrt((den << (3 * w + 2 * h)) // (2 * _pi(w) * num))
+        series = sums[0] - sums[1] + sums[2] - sums[3]
+        return _round_shift(e_r * root * series, 3 * w + h - n2 - bits)
+    # x - (2 nu + 1) pi/4, reduced mod pi/2 to s in [-pi/4, pi/4)
+    wr = w + ceil(x).bit_length() + 4
+    pi_r = _pi(wr)
+    quarter = pi_r >> 1
+    q, s = divmod((num << wr) // den - ((2 * nu + 1) * pi_r >> 2) + (quarter >> 1), quarter)
+    s -= quarter >> 1
+    cos_s, sin_s = _taylor_exp(abs(s) >> (wr - w), w, True)
+    if s < 0:
+        sin_s = -sin_s
+    cos_a, sin_a = ((cos_s, sin_s), (-sin_s, cos_s), (-cos_s, -sin_s), (sin_s, -cos_s))[q & 3]
+    amplitude = isqrt((2 * den << (3 * w)) // (_pi(w) * num))  # sqrt(2/(pi x)) 2^w
+    p_sum, q_sum = sums[0] - sums[2], sums[1] - sums[3]
+    return _round_shift(amplitude * (p_sum * cos_a - q_sum * sin_a), 3 * w - bits)
+
+
+# ---------------------------------------------------------------------------
+# the Poincare-series kernel and its entry points
+# ---------------------------------------------------------------------------
+
+
+def _prefactor(k: int, m: int, n: int, prec: int):
+    """(f, b) with f / 2^b = 2 pi (n/|m|)^((k-1)/2) to within 2^-(prec + 1) relative,
+    as 2 pi sqrt((n/|m|)^(k-1)) from isqrt at prec + 3 significant bits."""
+    num, den = n ** abs(k - 1), abs(m) ** abs(k - 1)
+    if k < 1:
+        num, den = den, num
+    b = max(0, prec + 3 - (num.bit_length() - den.bit_length() - 1) // 2)
+    return 2 * _pi(prec + 3) * isqrt((num << 2 * b) // den), b + prec + 3
 
 
 def _poincare_partials(k: int, pairs, params: RademacherParams):
     """Partial sums C = 1..cmax of the n-th weight-k Poincare coefficient of index m,
-    one list per (m, n) in pairs.
+    one list of exact dyadic Fractions per (m, n) in pairs.
 
     2 pi (n/|m|)^((k-1)/2) sum_{c<=C} K(m,n;c)/c B_{|k-1|}(4 pi sqrt(|m| n)/c),
     with B = J for m > 0 (the cusp form whose expansion starts at q^m) and
     B = I for m < 0 (the form with principal part q^m).  One pass over c:
     each modulus builds its units, inverses and cos table once for every
-    pair, and one Bessel value per distinct kind and |m| n.  mpf values at
-    params.precision_digits, at which each Bessel value is evaluated.
-    """
-    import mpmath as mp
+    pair, and one Bessel value per distinct kind and |m| n.
 
+    Everything is an integer at scale 2^-bits.  With d = precision_digits and
+    prec = d log2(10) + bit_length(cmax) + 4, each kind and |m| n has its
+    argument X = 4 pi sqrt(|m| n) to prec + bit_length(X + nu) + 3 bits (x B'
+    is at most (nu + x) times B's bound) and its scale 2^-s, s = prec - e,
+    2^e bounding the c = 1 value B(X) (_log2_ceiling); every c's value
+    B(X/c) is _bessel_fixed's at that scale, and each pair's accumulator
+    adds the floor of K B / c at it.  Over c <= C that is within
+    (1.5 + ln C) 10^-d 2^e of the exact sum, the Kloosterman tables'
+    10^-d per c dominating, and the prefactor is good to 2^-(prec + 1).
+    """
     nu = abs(k - 1)
-    with mp.workdps(params.precision_digits):
-        keys = [("J" if m > 0 else "I", abs(m) * n) for m, n in pairs]
-        args = {key: 4 * mp.pi * mp.sqrt(mp.mpf(key[1])) for key in keys}
-        prefactors = [2 * mp.pi * (mp.mpf(n) / abs(m)) ** (mp.mpf(k - 1) / 2) for m, n in pairs]
-        accs = [mp.mpf(0)] * len(pairs)
-        partials = [[] for _ in pairs]
-        for c in range(1, params.cmax + 1):
-            modulus = _modulus(c, params.precision_digits)
-            bessel = {key: _bessel_mpf(key[0], nu, arg / c) for key, arg in args.items()}
-            for i, (m, n) in enumerate(pairs):
-                accs[i] += _kloosterman_at(m, n, modulus) / c * bessel[keys[i]]
-                partials[i].append(prefactors[i] * accs[i])
-        return partials
+    prec = ceil(params.precision_digits * log2(10.0)) + params.cmax.bit_length() + 4
+    keys = [("J" if m > 0 else "I", abs(m) * n) for m, n in pairs]
+    args = {}
+    for kind, size in dict.fromkeys(keys):
+        x = 4 * pi * sqrt(size)
+        xbits = prec + (ceil(x) + nu).bit_length() + 3
+        X = 4 * _pi(xbits) * isqrt(size << 2 * xbits) >> xbits
+        args[kind, size] = X, xbits, prec - _log2_ceiling(kind, nu, x)
+    factors = []  # each pair's prefactor and the scale 2^-b, b >= 0, of its partial sums
+    for (m, n), key in zip(pairs, keys):
+        f, b = _prefactor(k, m, n, prec)
+        b += args[key][2]
+        factors.append((f << max(0, -b), max(0, b)))
+    accs = [0] * len(pairs)
+    partials = [[] for _ in pairs]
+    for c in range(1, params.cmax + 1):
+        modulus = _modulus(c, params.precision_digits)
+        divisor = c << modulus[-1]
+        bessel = {key: _bessel_fixed(key[0], nu, X, c << xbits, s)
+                  for key, (X, xbits, s) in args.items()}
+        for i, (m, n) in enumerate(pairs):
+            accs[i] += _kloosterman_at(m, n, modulus) * bessel[keys[i]] // divisor
+            f, b = factors[i]
+            partials[i].append(Fraction(f * accs[i], 1 << b))
+    return partials
 
 
 def _double(x) -> float:
-    """x as a float; OverflowError when it lies beyond the double range."""
-    value = float(x)
-    if isinf(value):
-        import mpmath as mp
+    """x, an exact rational, as the nearest float; OverflowError past the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        from decimal import Decimal
 
-        raise OverflowError(f"the coefficient {mp.nstr(x, 6)} exceeds the double range")
-    return value
+        p, q = x.numerator, x.denominator
+        shift = max(0, abs(p).bit_length() - q.bit_length() - 96)
+        shown = Decimal(p >> shift) / q * Decimal(2) ** shift
+        raise OverflowError(f"the coefficient {shown:.6g} exceeds the double range") from None
 
 
 def rademacher_inv_delta_partials(n: int, params: RademacherParams):
     """Cumulative truncations of the 1/Delta coefficient sum, c = 1..cmax.
 
-    Weight -12, index -1.  Returned as mpf values at the working precision
-    so convergence is observable beneath double-precision granularity.
+    Weight -12, index -1.  Returned as exact dyadic Fractions, good to the
+    working precision, so convergence is observable beneath double-precision
+    granularity.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -228,24 +498,18 @@ def calibrate_beta(params: RademacherParams = RademacherParams(cmax=200)) -> flo
     weight 12 are the multiples of Delta, so P_1 = p(1) Delta and tau(n) =
     p(n)/p(1).  beta is p(1) = 1 + 2 pi sum K(1,1;c)/c J_11(4 pi/c), from
     the same truncated sum as tau(n) and not fitted to any tau value; the 1
-    is added at the working precision.
+    is added exactly.
     """
-    import mpmath as mp
-
-    with mp.workdps(params.precision_digits):
-        return _double(1 + _poincare_partials(12, [(1, 1)], params)[0][-1])
+    return _double(1 + _poincare_partials(12, [(1, 1)], params)[0][-1])
 
 
 def rademacher_tau_with_beta(n: int, params: RademacherParams = RademacherParams(cmax=200)):
     """(tau(n), beta): the truncated weight-12 sum for tau(n), n >= 2, over beta,
     with both sums from one pass over c."""
-    import mpmath as mp
-
     if n < 2:
         raise ValueError("n must be at least 2")
-    with mp.workdps(params.precision_digits):
-        beta_sums, tau_sums = _poincare_partials(12, [(1, 1), (1, n)], params)
-        beta = _double(1 + beta_sums[-1])
+    beta_sums, tau_sums = _poincare_partials(12, [(1, 1), (1, n)], params)
+    beta = _double(1 + beta_sums[-1])
     return _double(tau_sums[-1]) / beta, beta
 
 

@@ -25,12 +25,16 @@ NEITHER = [
     ["bh", "classify", "-20"],
     ["bh", "tau", "1", "1", "6"],
     ["cft", "zk", "--k", "1"],
-]
-MPMATH_ONLY = [
+    # the Rademacher sums run in Python integers
     ["rademacher", "tau", "--n", "3", "--cmax", "20"],
+    ["rademacher", "rd", "--d", "1", "--n", "2", "--cmax", "20"],
+    ["rademacher", "invdelta", "--n", "2", "--cmax", "20"],
+    ["cft", "zk", "--k", "1", "--cmax", "20"],
+]
+# the CM-point values are mpmath floats
+MPMATH_ONLY = [
     ["singular-trace", "--n", "3"],
     ["bh", "hilbert", "-479"],
-    ["cft", "zk", "--k", "1", "--cmax", "20"],
 ]
 # one interpreter runs them in this order, so the libraries loaded after a
 # command are those it loaded or an earlier command did

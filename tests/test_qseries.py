@@ -352,6 +352,24 @@ def test_series_builders_stay_in_the_integer_kernel(monkeypatch):
         assert all(type(c) is int for c in coeffs), name
 
 
+def test_power_starts_from_the_first_power_it_needs(monkeypatch):
+    # s**3 = s * s^2 and s**24 = s^8 * s^16: 2 and 5 products, none of them
+    # by the unit series; s**0 is still the unit series
+    s = qs.QSeries(-1, [1, -3, 5, 0, 7, 2, -1, 4], 7)
+    calls = []
+    kernel = qs._kronecker
+    monkeypatch.setattr(qs, "_kronecker", lambda a, b, n: calls.append(n) or kernel(a, b, n))
+    for k, products in ((1, 0), (3, 2), (24, 5)):
+        calls.clear()
+        got = s**k
+        assert len(calls) == products, k
+        want = s
+        for _ in range(k - 1):
+            want = schoolbook_product(want, s)
+        assert_same_series(got, want)
+    assert_same_series(s**0, qs.QSeries(0, [1] + [0] * 7, 8))
+
+
 def test_g2_coefficients_at_benchmark_order():
     # SHA-256 of the 3201 coefficients of 2G to order 3200, as decimal strings
     # joined by commas, recorded from the schoolbook product and recurrence

@@ -1,6 +1,7 @@
 import itertools
 import random
-from math import gcd, log, pi, sqrt
+from fractions import Fraction
+from math import ceil, gcd, log, log2, pi, sqrt
 
 import mpmath as mp
 import pytest
@@ -16,14 +17,40 @@ from conftest import (P_by_horner, auto_order, bessel_by_ascending_series, g2_co
                       level_rep_by_window_search, q_expansion_sum, q_expansion_sums_by_mpc)
 
 
+def _mpf(v, bits=0):
+    # an integer at scale 2^-bits, or a dyadic Fraction, as the exact mpf
+    if isinstance(v, Fraction):
+        assert v.denominator & (v.denominator - 1) == 0, v
+        v, bits = v.numerator, v.denominator.bit_length() - 1
+    with mp.workprec(max(53, abs(v).bit_length())):
+        return mp.ldexp(mp.mpf(v), -bits)
+
+
 def _kloosterman(m, n, c, digits=30):
-    with mp.workdps(digits):
-        return rd._kloosterman_at(m, n, rd._modulus(c, digits))
+    modulus = rd._modulus(c, digits)
+    return _mpf(rd._kloosterman_at(m, n, modulus), modulus[-1])
+
+
+def _bessel_bits(kind, nu, x, digits):
+    # the scale at which _bessel_fixed carries digits significant digits (of
+    # J's envelope), with 8 guard bits as the sums carry; |B| 2^bits < 2^top
+    top = ceil(digits * log2(10)) + 8
+    return top - rd._log2_ceiling(kind, nu, x), top
+
+
+def _bessel_mpf(kind, nu, x, digits=30):
+    # the fixed-point kernel at x, a float or an mpf, as the exact mpf
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    else:
+        num, den = float(x).as_integer_ratio()
+    bits = _bessel_bits(kind, nu, num / den, digits)[0]
+    return _mpf(rd._bessel_fixed(kind, nu, num, den, bits), bits)
 
 
 def _bessel(kind, nu, x, digits=30):
-    with mp.workdps(digits):
-        return float(rd._bessel_mpf(kind, nu, x))
+    return float(_bessel_mpf(kind, nu, x, digits))
 
 
 def _G(tau, order=None, digits=40):
@@ -145,19 +172,18 @@ def test_bessel_matches_ascending_series_oracle():
         with mp.workdps(digits):
             for nu, x, (kind, signed) in cases:
                 want = bessel_by_ascending_series(nu, x, digits, signed)
-                got = rd._bessel_mpf(kind, nu, x)
+                got = _bessel_mpf(kind, nu, x, digits)
                 assert abs(got - want) <= mp.mpf(10) ** (2 - digits) * max(1, abs(want)), (nu, x)
                 assert float(got) == pytest.approx(float(want), rel=1e-15)
 
 
-def test_bessel_I_from_0F1_matches_besseli_to_working_precision():
-    # (x/2)^nu / nu! 0F1(nu + 1, x^2/4) at 30 digits against mpmath's besseli
-    # at 60: I grows like e^x, so x^2/4 must not be rounded (at x = 12345.6
-    # that alone costs 1e-28)
+def test_bessel_I_matches_besseli_to_working_precision():
+    # the fixed-point I at 30 digits against mpmath's besseli at 60, in both
+    # regimes: I grows like e^x, so x is taken exactly (at x = 12345.6 a
+    # rounded x^2/4 alone would cost 1e-28)
     for nu in (0, 1, 2, 13):
         for x in (0.1, 1.0, 22.0, 62.8, 795.3, 12345.6, 99999.0):
-            with mp.workdps(30):
-                got = rd._bessel_mpf("I", nu, x)
+            got = _bessel_mpf("I", nu, x, 30)
             with mp.workdps(60):
                 want = mp.besseli(nu, x)
                 assert abs(got - want) <= mp.mpf(10) ** -30 * want, (nu, x)
@@ -169,11 +195,11 @@ def test_bessel_recurrences_at_large_arguments():
     with mp.workdps(digits):
         tol = mp.mpf(10) ** (2 - digits)
         for x in (mp.mpf(20000), mp.mpf(99999)):
-            j10, j11, j12 = (rd._bessel_mpf("J", nu, x) for nu in (10, 11, 12))
+            j10, j11, j12 = (_bessel_mpf("J", nu, x, digits) for nu in (10, 11, 12))
             assert abs(j10 + j12 - 22 / x * j11) <= tol * (abs(j10) + abs(j12))
             # leading asymptotics: J_11^2 + J_12^2 ~ 2 / (pi x), I_0 ~ e^x (1 + 1/8x) / sqrt(2 pi x)
             assert abs((j11**2 + j12**2) * mp.pi * x / 2 - 1) < 1e-3
-            i0, i1, i2 = (rd._bessel_mpf("I", nu, x) for nu in (0, 1, 2))
+            i0, i1, i2 = (_bessel_mpf("I", nu, x, digits) for nu in (0, 1, 2))
             assert abs(i0 - i2 - 2 / x * i1) <= tol * (i0 + i2)
             assert abs(i0 * mp.sqrt(2 * mp.pi * x) / mp.exp(x) / (1 + 1 / (8 * x)) - 1) < 1e-9
 
@@ -191,11 +217,51 @@ def test_bessel_I1_small_argument_limit():
 
 def test_bessel_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        _bessel("I", 13, 0.0)
+        rd._bessel_fixed("I", 13, 0, 1, 100)
     with pytest.raises(ValueError):
-        _bessel("I", -1, 1.0)
+        rd._bessel_fixed("J", 11, 1, -2, 100)
+    with pytest.raises(ValueError):
+        rd._bessel_fixed("I", -1, 1, 1, 100)
     with pytest.raises(OverflowError):
-        _bessel("I", 1, 1e7)
+        rd._bessel_fixed("I", 1, 10**7, 1, 100)
+
+
+def _regime_switch(kind, nu, top):
+    # the x, 1e-9 apart, just below and just above which _bessel_fixed takes
+    # Hankel's expansions instead of the ascending series
+    lo, hi = 1.0, 1000.0
+    assert rd._hankel_precision(kind, nu, lo, top) is None
+    assert rd._hankel_precision(kind, nu, hi, top) is not None
+    while hi - lo > 1e-9 * hi:
+        mid = (lo + hi) / 2
+        if rd._hankel_precision(kind, nu, mid, top) is None:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_bessel_either_side_of_the_regime_threshold(monkeypatch):
+    # I_1, I_13 and J_11 just below and just above the switch from the
+    # ascending series to Hankel's expansions, against mpmath at 20 more digits
+    routes = []
+    for name in ("_bessel_series", "_bessel_hankel"):
+        kernel = getattr(rd, name)
+        monkeypatch.setattr(rd, name, lambda *a, kernel=kernel, name=name:
+                            routes.append(name) or kernel(*a))
+    oracles = {"I": mp.besseli, "J": mp.besselj}
+    for kind, nu in (("I", 1), ("I", 13), ("J", 11)):
+        for digits in (30, 40):
+            lo, hi = _regime_switch(kind, nu, _bessel_bits(kind, nu, 1.0, digits)[1])
+            assert max(nu * nu / 2, 20.0) <= hi < 200, (kind, nu, digits, hi)
+            for x, route in ((lo, "_bessel_series"), (hi, "_bessel_hankel")):
+                routes.clear()
+                got = _bessel_mpf(kind, nu, x, digits)
+                assert routes == [route], (kind, nu, digits, x)
+                with mp.workdps(digits + 20):
+                    want = oracles[kind](nu, x)
+                    scale = abs(want) if kind == "I" else 1
+                    assert abs(got - want) <= mp.mpf(10) ** -digits * scale, (kind, nu, x)
 
 
 # --- Rademacher sums ----------------------------------------------------------
@@ -277,7 +343,7 @@ def test_each_entry_point_is_its_textbook_sum():
             got = rd.rademacher_inv_delta_partials(n, params)
             assert len(got) == 12
             for g, w in zip(got, want):
-                assert abs(g - w) <= mp.mpf(10) ** -25 * abs(w), (n, g, w)
+                assert abs(_mpf(g) - w) <= mp.mpf(10) ** -25 * abs(w), (n, g, w)
         for n in (2, 3):
             want = _textbook_partials(1, n, 11, True, 2 * pi_ * mp.mpf(n) ** 5.5,
                                       4 * pi_ * mp.sqrt(n), 12, digits)
@@ -337,7 +403,7 @@ def test_rd_coefficient_is_the_coefficient_of_its_modular_function():
 
 
 def test_batched_pairs_equal_single_pair_sums():
-    # one pass over c for several (m, n) gives each pair the same mpf
+    # one pass over c for several (m, n) gives each pair the same exact
     # partials as a pass of its own, for the J kind and for the I kind with
     # pairs that share |m| n (and so one Bessel value per c)
     params = RademacherParams(cmax=30, precision_digits=30)
@@ -368,14 +434,13 @@ def test_kloosterman_bins_fold_exactly():
     # count[0] cos 0 + 2 sum_{0 < r < c/2} count[r] cos(2 pi r/c) (+ the c/2 bin)
     for c in range(1, 61):
         modulus = rd._modulus(c, 30)
-        _, units, inverses, cos_table, bits = modulus
+        _, units, inverses, cos_table, _ = modulus
         for m, n in ((1, 1), (-3, 4), (0, 0), (5, -2)):
             count = [0] * c
             for d, dbar in zip(units, inverses):
                 count[(m * dbar + n * d) % c] += 1
             total = sum(k * cos_table[min(r, c - r)] for r, k in enumerate(count))
-            with mp.workdps(30):
-                assert rd._kloosterman_at(m, n, modulus) == mp.ldexp(mp.mpf(total), -bits)
+            assert rd._kloosterman_at(m, n, modulus) == total
 
 
 def test_coefficient_past_the_double_range_raises_overflow():
