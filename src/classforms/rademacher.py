@@ -17,11 +17,11 @@ one fixed-point cosine table, against which the Kloosterman sums are exact
 integer residue bins; each c evaluates one fixed-point Bessel value per
 distinct kind and |m| n (_bessel_fixed: the ascending series below a
 threshold set by the bits wanted, Hankel's expansions above it) and adds
-the integer K B / c to each pair's accumulator.  pi, ln 2 and the root of
-unity behind each table come from integer series, the prefactors from
-isqrt, and the partial sums come back as exact dyadic Fractions, which
-float() rounds correctly.  Every sum converges absolutely (the weight-12
-terms are O(c^-11.5)) and is read off its last partial sum at params.cmax.
+the integer K B / c to each pair's accumulator.  pi, ln 2 and each table's
+cos(2 pi/c) come from integer series, the prefactors from isqrt, and the
+partial sums come back as exact dyadic Fractions, which float() rounds
+correctly.  Every sum converges absolutely (the weight-12 terms are
+O(c^-11.5)) and is read off its last partial sum at params.cmax.
 
 The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
@@ -119,15 +119,16 @@ def _pi(bits: int) -> int:
     """pi * 2^bits within one unit: Machin's 16 atan(1/5) - 4 atan(1/239) at
     bits + g, off by under 20 (T + 2) < 2^(g - 2) units over its T < bits + g
     terms, then rounded."""
-    g = bits.bit_length() + 7
+    g = (bits + 64).bit_length() + 7
     v = 16 * _arctan_inverse(5, bits + g, False) - 4 * _arctan_inverse(239, bits + g, False)
     return _round_shift(v, g)
 
 
 @lru_cache(maxsize=None)
 def _ln2(bits: int) -> int:
-    """ln 2 * 2^bits within one unit: 2 atanh(1/3) at bits + g, then rounded."""
-    g = bits.bit_length() + 5
+    """ln 2 * 2^bits within one unit: 2 atanh(1/3) at bits + g, off by under
+    2 (T + 2) < 2^(g - 2) units over its T < bits + g terms, then rounded."""
+    g = (bits + 64).bit_length() + 5
     return _round_shift(2 * _arctan_inverse(3, bits + g, True), g)
 
 
@@ -139,7 +140,7 @@ def _taylor_exp(t: int, bits: int, imaginary: bool):
     two units of its own error, which later terms carry forward times at most
     e^t < 55, so T terms (T < bits + g + 12) leave under 110 T < 2^(g - 2) units.
     """
-    g = bits.bit_length() + 9
+    g = (bits + 64).bit_length() + 9
     w = bits + g
     t <<= g
     term, n = 1 << w, 0
