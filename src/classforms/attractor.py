@@ -12,11 +12,12 @@ invariant at the fixed points.
 """
 
 from fractions import Fraction
-from math import ceil, log, log10, pi
+from math import ceil, hypot, log, log10, pi
 from typing import NamedTuple
 
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
-from .rademacher import PrecisionError, _pentagonal_sums, _q_at, cm_root
+from .rademacher import (PrecisionError, _add, _cm_sums, _cm_value, _div, _mul, _prec_of_digits,
+                         _round_shift, _shift, cm_root)
 
 
 class ChargeInvariants(NamedTuple):
@@ -240,16 +241,33 @@ def attractor_tau(f) -> complex:
 _EXTRA_DIGITS = 10
 
 
-def _j_at(tau):
-    """Klein's j at tau as an eta quotient, an mpc at the working precision.
+def _j_at(tau, prec: int, order: int | None = None):
+    """Klein's j at tau, a rademacher.CMValue whose rad bounds its error.
 
-    j = (256 f + 1)^3 / f with f = Delta(2 tau)/Delta(tau) = q (S(q^2)/S(q))^24,
-    S = prod (1 - q^n) the pentagonal sum; q stays an mpmath float, so j keeps
-    its relative precision however small |q| is.
+    j = (256 f + 1)^3 / f = 1/f + 768 + 196608 f + 16777216 f^2 with
+    f = Delta(2 tau)/Delta(tau) = q r^24, r = S(q^2)/S(q) and S = prod (1 - q^n),
+    the pentagonal sum T_0 to 2^-prec (rademacher._cm_sums).  With q = m 2^-n,
+    f = F 2^-n for F = m r^24, and j = 2^n (1/F + 2^-n (768 + 196608 F 2^-n +
+    16777216 F^2 2^-2n)), so j keeps its relative precision however small |q|
+    is.  r^24 is ((r^3)^2)^2)^2, and every step is a ball (rademacher._mul,
+    _div), whose radius holds the error of its operands and its floors.
     """
-    q, ln_q = _q_at(tau)
-    f = q * (_pentagonal_sums(q, ln_q, 2, 1)[0] / _pentagonal_sums(q, ln_q, 1, 1)[0]) ** 24
-    return (256 * f + 1) ** 3 / f
+    q, bits, sums = _cm_sums(tau, prec, (1, 2), 1, order)
+    r = _div(sums[2][0], sums[1][0], bits)
+    r24 = _mul(_mul(r, r, bits), r, bits)
+    for _ in range(3):
+        r24 = _mul(r24, r24, bits)
+    f = _mul(q.m, r24, bits)
+    small = _add(_shift(_add((0, 0, 0), f, 196608), q.n),
+                 _shift(_mul(f, f, bits), 2 * q.n), 16777216)
+    small = _add(small, (768 << bits, 0, 0))
+    j = _add(_div((1 << bits, 0, 0), f, bits), _shift(small, q.n))
+    return _cm_value(j, q.n - bits)
+
+
+def _at_scale(x: Fraction, bits: int) -> int:
+    """x 2^bits rounded to an integer, for a dyadic Fraction x."""
+    return _round_shift(x.numerator << bits, x.denominator.bit_length() - 1)
 
 
 def hilbert_class_polynomial(D: int):
@@ -261,33 +279,41 @@ def hilbert_class_polynomial(D: int):
     coefficient list [c_0, ..., c_{h-1}, 1] (degree h(D)).
 
     The working precision covers the largest coefficient: |j(tau_f)| is
-    about exp(pi sqrt|D| / a_f), and no coefficient exceeds 2^h times the
+    about exp(pi sqrt|D| / a_f), and no coefficient exceeds B = 2^h times the
     product of the max(1, |j(tau_f)|) (Enge, Math. Comp. 2009), so the budget is
-    15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + _EXTRA_DIGITS.
-    Each root, from _j_at, is good to a few units of the working precision
-    relative to |j|, so the coefficients are off by under h 10^-digits times that bound.
+    15 + ceil(sum_f pi sqrt|D| / (a_f ln 10) + h log10 2) + _EXTRA_DIGITS
+    digits, s bits.  Each root comes from _j_at at s + 8 bits and is rounded to
+    a Gaussian integer at scale 2^-s; the product of the X - r is expanded at
+    that one scale, each product floored.  A root off by rho (1 + |r|) 2^-s
+    moves every coefficient by under rho B 2^-s, and each of the h(h + 1)/2
+    floors by under sqrt(2) B 2^-s, as the later factors multiply an error by at
+    most prod (1 + |r|) <= B.  So the coefficients are within
+    (sum rho + h (h + 1)) B 2^-s < (sum rho + h (h + 1)) 10^-25, where rho, the
+    root's rad over (1 + |r|) 2^-s plus 1/2 for the rounding, is a few units
+    (at most 6 at D = -20011).
     """
-    import mpmath as mp
-
     if not is_fundamental(D):
         raise ValueError("class polynomials are computed for fundamental discriminants")
     forms = enumerate_reduced(D)
     h = len(forms)
     log10_size = sum(pi * (-D) ** 0.5 / (f.a * log(10)) for f in forms) + h * log10(2)
     digits = 15 + ceil(log10_size) + _EXTRA_DIGITS
-    with mp.workdps(digits):
-        roots = [_j_at(cm_root(f, digits)) for f in forms]
-        # expand prod (X - root) with complex arithmetic, then round
-        coeffs = [mp.mpc(1)]
-        for r in roots:
-            coeffs = [mp.mpc(0)] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
-        rounded = [int(mp.nint(c.real)) for c in coeffs]
-        residual = max(abs(c - n) for c, n in zip(coeffs, rounded))
+    s = _prec_of_digits(digits)
+    coeffs = [(1 << s, 0)]
+    for f in forms:
+        j = _j_at(cm_root(f), s + 8)
+        rr, ri = _at_scale(j.real, s), _at_scale(j.imag, s)
+        # multiply by X - r: c_i <- c_(i-1) - r c_i
+        nxt = [(0, 0)] + coeffs
+        for i, (cr, ci) in enumerate(coeffs):
+            nxt[i] = (nxt[i][0] - ((rr * cr - ri * ci) >> s), nxt[i][1] - ((rr * ci + ri * cr) >> s))
+        coeffs = nxt
+    rounded = [_round_shift(cr, s) for cr, _ in coeffs]
+    residual = max(hypot((cr - (n << s)) / (1 << s), ci / (1 << s))
+                   for (cr, ci), n in zip(coeffs, rounded))
     if residual > 1e-4:
         raise PrecisionError(
-            f"class polynomial rounding residual {float(residual):.3e} at {digits} digits"
+            f"class polynomial rounding residual {residual:.3e} at {digits} digits"
         )
     assert len(rounded) == h + 1 and rounded[-1] == 1
     return rounded

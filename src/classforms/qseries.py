@@ -18,15 +18,17 @@ substitution: each operand's integer coefficients are packed into one big
 decimal number, one slot of w digits per coefficient, the two numbers are
 multiplied once by the C `decimal` module (libmpdec multiplies large numbers
 by a number-theoretic transform), and the slots are read back with balanced
-digits.  A pack is the slots of the positive coefficients minus those of the
-negative ones' magnitudes.  A truncated product packs each operand cut to the
-wanted length and reads back only the low slots.  An inverse is Newton
-iteration on that product, doubling the number of correct terms per step.
+digits.  A pack is built once per operand (a squaring packs its operand
+once) by a balanced tree of exact decimal adds.  A truncated product packs
+each operand cut to the wanted length and reads back only the low slots.  An
+inverse is Newton iteration on that product, doubling the number of correct
+terms per step.
 The Euler product takes its exponents from arith.pentagonal; hecke_trace and
 tau_prime_display share _trace_formula and differ only in the window of t.
 """
 
 import decimal
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -180,26 +182,21 @@ _EXACT = decimal.Context(
 )
 
 
-def _digits(x: int) -> str:
-    # through decimal, which has no cap on the length of an int's digit string
-    return str(_EXACT.create_decimal(x))
-
-
 def _pack(coeffs, w: int):
-    """sum coeffs[i] * 10^(w i) as an exact Decimal.
+    """sum coeffs[i] * 10^(w i) as an exact Decimal, by a balanced tree of adds.
 
-    The positive coefficients fill the w-digit slots of one number and the
-    magnitudes of the negative ones those of another; the pack is the first
-    minus the second.  Each digit string is converted before the next is
-    built, so at most two digit buffers are alive at once.
+    Each coefficient is converted once; then each level adds neighbours as
+    lo + hi * 10^span, span = w, 2w, 4w, ..., up to one number.  Every add is
+    exact, and at most two tree levels are alive at once.
     """
-    zero = "0" * w
-
-    def slots(sign):
-        return _EXACT.create_decimal("".join(
-            _digits(sign * c).zfill(w) if sign * c > 0 else zero for c in reversed(coeffs)))
-
-    return _EXACT.subtract(slots(1), slots(-1))
+    add, scaleb = _EXACT.add, _EXACT.scaleb
+    level = list(map(decimal.Decimal, coeffs))  # exact for ints, whatever the context
+    span = w
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [add(lo, scaleb(hi, span)) for lo, hi in zip(level[::2], level[1::2])] + odd
+        span *= 2
+    return level[0]
 
 
 def _ints(coeffs):
@@ -224,12 +221,16 @@ def _kronecker(a, b, n: int):
     the product holds one coefficient in balanced digits; only the low n
     slots are read back.
     """
-    a, b = _strip(a[:n]), _strip(b[:n])
+    square = a is b
+    a = _strip(a[:n])
+    b = a if square else _strip(b[:n])
     if not a or not b:
         return [0] * n
     bound = 2 * max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     w = bound.bit_length() * 30103 // 100000 + 1  # 10^w > 2^bits > bound
-    product = _EXACT.multiply(_pack(a, w), _pack(b, w))
+    packed = _pack(a, w)
+    product = _EXACT.multiply(packed, packed if square else _pack(b, w))
+    del packed
     # shifting by zero at precision w n keeps the low n slots, with the sign
     low = _EXACT.copy()
     low.prec = w * n
@@ -239,10 +240,14 @@ def _kronecker(a, b, n: int):
     text = text.zfill(w * n + negative)  # zfill keeps the sign in front
     base = 10**w
     half = base // 2
+    # int() reads a slot within the interpreter's cap on int-from-str digits (0:
+    # none; Pythons before 3.10.7 have no cap), decimal, which has none, wider ones
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    read = int if not cap or w <= cap else (lambda digits: int(_EXACT.create_decimal(digits)))
     out = []
     carry = 0
     for end in range(len(text), len(text) - w * n, -w):
-        d = int(_EXACT.create_decimal(text[end - w:end])) + carry
+        d = read(text[end - w:end]) + carry
         carry = d >= half
         out.append(d - base if carry else d)
     return [-c for c in out] if negative else out

@@ -32,15 +32,21 @@ gives every CM value: T_i = sum (-1)^j e_j^i x^(e_j) over the generalized
 pentagonal numbers e_j of arith.pentagonal at x = q^k, which has O(sqrt N)
 terms up to x^N.  It runs in fixed point over Gaussian integers, stops each
 sum at its own |q| once a stated tail bound is below the working precision,
-and raises PrecisionError when an explicit order cuts it first.  G and P take T_0, T_1
-and T_2 at q, q^2, q^3, q^6; attractor takes T_0 at q and q^2 for j.
+and raises PrecisionError when an explicit order cuts it first.  G and P take
+T_0, T_1 and T_2 at q, q^2, q^3, q^6; attractor takes T_0 at q and q^2 for j.
+
+Every CM value is computed in Python integers, on the same _pi, _ln2,
+_taylor_exp and _round_shift as the sums.  A CM point is held exactly
+(CMPoint: Re tau and (Im tau)^2 rational), and q = m 2^-n keeps its binary
+exponent apart from a Gaussian-integer mantissa, so that G ~ 1/q and j ~ 1/f
+keep their relative precision however small |q| is.  The arithmetic after
+the sums runs on balls, Gaussian integers with an integer radius that bounds
+their error, and each value comes back as an exact dyadic CMValue with that
+bound.
 
 Kloosterman sums (_kloosterman_at), Bessel values (_bessel_fixed) and G
-(_g_and_dg) have no public wrappers: the tests hold these kernels to their oracles.
-
-mpmath is imported inside each function that uses it, and only the CM-point
-values do: every command is a fresh process, so only `singular-trace` and
-the class polynomials pay for loading it.
+(_g_and_dg) have no public wrappers: the tests hold these kernels to their
+oracles.  No function here imports mpmath or numpy.
 """
 
 from fractions import Fraction
@@ -537,6 +543,161 @@ def rd_coefficient(d: int, n: int, params: RademacherParams = RademacherParams(c
 # ---------------------------------------------------------------------------
 
 
+def _prec_of_digits(digits: int) -> int:
+    """The bits of `digits` decimal digits, (digits + 1) log2(10) rounded: the
+    precision at which every truncation order of the CM values was chosen."""
+    return round((digits + 1) * 3.3219280948873626)
+
+
+class CMPoint(NamedTuple):
+    """tau = x + i sqrt(y2) with x and y2 > 0 exact rationals: a CM root
+    exactly, or a complex number's two doubles."""
+
+    x: Fraction
+    y2: Fraction
+
+    def __complex__(self):
+        return complex(self.x, sqrt(self.y2))
+
+
+def _point(tau) -> CMPoint:
+    """tau as a CMPoint; anything else is read as its complex value."""
+    if isinstance(tau, CMPoint):
+        return tau
+    tau = complex(tau)
+    if not tau.imag > 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    return CMPoint(Fraction(tau.real), Fraction(tau.imag) ** 2)
+
+
+def cm_root(f: Form) -> CMPoint:
+    """Upper-half-plane root of a tau^2 + b tau + c = 0, -b/2a + i sqrt(|D|)/2a, exactly."""
+    a, b, _ = f
+    return CMPoint(Fraction(-b, 2 * a), Fraction(-f.discriminant(), 4 * a * a))
+
+
+class CMValue(NamedTuple):
+    """An exact dyadic complex number real + i imag, within rad of the value
+    it stands for; complex() rounds each part to the nearest double."""
+
+    real: Fraction
+    imag: Fraction
+    rad: Fraction
+
+    def __complex__(self):
+        return complex(self.real, self.imag)
+
+
+# A ball (re, im, rad) holds every value within rad units of (re + i im) 2^-bits,
+# rad an integer.  Each operation returns a ball that holds the exact result of
+# any values its operands hold, bounding |z| above by |re| + |im| and below by
+# max(|re|, |im|); products and quotients floor each part, under sqrt(2) units.
+
+
+def _add(a, b, c: int = 1):
+    """a + c b for an integer c, exactly."""
+    return a[0] + c * b[0], a[1] + c * b[1], a[2] + abs(c) * b[2]
+
+
+def _shift(a, n: int):
+    """a 2^-n, n >= 0, each part floored: the radius is rad 2^-n rounded up, plus 2."""
+    return a[0] >> n, a[1] >> n, (a[2] >> n) + 3
+
+
+def _mul(a, b, bits: int):
+    """a b: the radius is |a| rb + |b| ra + ra rb rounded up, plus 2."""
+    (ar, ai, ra), (br, bi, rb) = a, b
+    rad = ((abs(ar) + abs(ai)) * rb + (abs(br) + abs(bi)) * ra + ra * rb >> bits) + 3
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits, rad
+
+
+def _div(a, b, bits: int):
+    """a / b: the radius is (ra + |a/b| rb)/(|b| - rb) rounded up, plus 2;
+    PrecisionError when the ball b may hold 0."""
+    (ar, ai, ra), (br, bi, rb) = a, b
+    low = max(abs(br), abs(bi)) - rb
+    if low <= 0:
+        raise PrecisionError(f"a CM value divides by a sum within its error of 0 at {bits} bits")
+    norm = br * br + bi * bi
+    cr = ((ar * br + ai * bi) << bits) // norm
+    ci = ((ai * br - ar * bi) << bits) // norm
+    return cr, ci, -(-((ra << bits) + (abs(cr) + abs(ci) + 2) * rb) // low) + 2
+
+
+def _cm_value(a, e: int) -> CMValue:
+    """The ball a at scale 2^e, as a CMValue."""
+    if e >= 0:
+        return CMValue(Fraction(a[0] << e), Fraction(a[1] << e), Fraction(a[2] << e))
+    return CMValue(Fraction(a[0], 1 << -e), Fraction(a[1], 1 << -e), Fraction(a[2], 1 << -e))
+
+
+def _near(constant, bits: int) -> int:
+    """constant(top) rounded to scale 2^bits, top the next multiple of 256: within one
+    unit when constant(top) is, and nearby precisions share one cached value."""
+    top = -(-bits // 256) * 256
+    return _round_shift(constant(top), top - bits)
+
+
+def _exp_squared(t: int, bits: int, imaginary: bool):
+    """_taylor_exp(t, bits, imaginary) within one unit, for 0 <= t <= 1 at scale
+    2^bits, by fewer terms at high precision: the series at t 2^-r, r = isqrt(bits),
+    squared r times at w = bits + r + 5.  Each squaring at most doubles the error
+    relative to the value, then adds sqrt(2) units, from sqrt(2) units of the
+    series: 2^(r + 1.6) units relative at w, which for |e^t| <= e or
+    |e^(it)| = 1 is under 2^-1.8 units at bits before the rounding.
+    """
+    r = isqrt(bits)
+    w = bits + r + 5
+    v = _taylor_exp(t << 5, w, imaginary)
+    for _ in range(r):
+        if imaginary:
+            v = ((v[0] * v[0] - v[1] * v[1]) >> w, v[0] * v[1] >> (w - 1))
+        else:
+            v = v * v >> w
+    if imaginary:
+        return _round_shift(v[0], r + 5), _round_shift(v[1], r + 5)
+    return _round_shift(v, r + 5)
+
+
+class _Q(NamedTuple):
+    m: tuple  # the mantissa, a ball at scale 2^-bits with 1 <= |m| < 2
+    n: int  # q = m 2^-n
+    t: tuple  # 2 pi Im tau, a real ball at scale 2^-bits
+
+
+def _q_at(tau: CMPoint, bits: int) -> _Q:
+    """q = exp(2 pi i tau) as m 2^-n, so that q keeps its relative precision
+    however small it is, and t = 2 pi Im tau; m and t are within one unit.
+
+    With y = Im tau, n = ceil(t/ln 2) and m = e^(n ln 2 - t) (cos theta + i sin theta),
+    theta = 2 pi (Re tau mod 1) = k pi/2 + s with |s| <= pi/4, from _exp_squared at
+    w = bits + g, 2^g >= 512 (floor(y) + 1).  At w, y is floored from isqrt, pi and
+    ln 2 are within one unit, t within 2y + 8 units, n ln 2 - t within 11.1y + 10,
+    its exponential (below 2) within 22.2y + 21, theta within 3, s within 7, and
+    cos s and sin s within 8: each part of m is within 22.2y + 39 < 2^(g - 3)
+    units, under 0.18 units of 2^-bits in modulus, and m is within one unit once
+    rounded to bits; so is t.
+    """
+    x, y2 = tau
+    g = (isqrt(y2.numerator // y2.denominator) + 1).bit_length() + 9
+    w = bits + g
+    pi_w = _near(_pi, w)
+    t = 2 * pi_w * isqrt((y2.numerator << 2 * w) // y2.denominator) >> w
+    ln2 = _near(_ln2, w)
+    n = -(-t // ln2)
+    e = _exp_squared(n * ln2 - t, w, False)
+    turn = x - floor(x)
+    quarter = pi_w >> 1
+    k, s = divmod(2 * pi_w * turn.numerator // turn.denominator + (quarter >> 1), quarter)
+    s -= quarter >> 1
+    cos_s, sin_s = _exp_squared(abs(s), w, True)
+    if s < 0:
+        sin_s = -sin_s
+    cos_t, sin_t = ((cos_s, sin_s), (-sin_s, cos_s), (-cos_s, -sin_s), (sin_s, -cos_s))[k & 3]
+    m = (_round_shift(e * cos_t, w + g), _round_shift(e * sin_t, w + g), 1)
+    return _Q(m, n, (_round_shift(t, g), 0, 1))
+
+
 def _ln_tail_bound(m: int, ln_x: float) -> float:
     """ln of m^2 r^m (1 + r)/(1 - r)^3 >= sum_{e >= m} e^2 r^e, r = e^ln_x (which
     may underflow): at e = m + i, e^2 <= m^2 (1 + i)^2, summed to (1 + r)/(1 - r)^3."""
@@ -555,37 +716,18 @@ def _pentagonal_last(ln_x: float, prec: int, limit: int | None = None):
         last = e
 
 
-def _pentagonal_sums(q, ln_q: float, k: int, weights: int, order: int | None = None):
-    """[T_0, ..., T_{weights-1}] at x = q^k, mpc values at the working precision.
+def _pentagonal_sums(x, bits: int, last: int, weights: int):
+    """[T_0, ..., T_{weights-1}] at x, Gaussian integers at scale 2^-bits, over the
+    exponents up to last; x is a Gaussian integer at that scale with |x| < 1.
 
     T_i(x) = sum over j in Z of (-1)^j e_j^i x^(e_j), e_j = j(3j - 1)/2: T_0 is
     prod (1 - x^n) (pentagonal-number theorem), T_1 = x T_0' and T_2 = x T_1'.
-    q is an mpc and ln_q = ln|q| a float, from _q_at.  As e^i <= e^2, the
-    tail from exponent m on is below m^2 r^m (1 + r)/(1 - r)^3, r = |x|
-    (_ln_tail_bound); each sum stops at the least e_j where that is below
-    2^-prec.  An explicit order caps the sums at k e < order, and
-    PrecisionError reports the bound left at the cap if it stops a sum first.
-
     The sums are 1 + O(x), so they run in fixed point, where absolute error is
-    relative error; q stays an mpmath float.  x is rounded once to Gaussian
-    integers at scale 2^B, and each x^e is one floored product from the last,
-    by x^(2j - 1) or x^j, themselves stepped by x^2 and x.  A floored product
-    of values below 1 in modulus adds sqrt(2) units of 2^-B to its factors'
-    errors, so x^e is off by < 3e units and T_i by < 3 last^4: B's guard bits.
+    relative error.  Each x^e is one floored product from the last, by x^(2j - 1)
+    or x^j, themselves stepped by x^2 and x.  A floored product of values below 1
+    in modulus adds sqrt(2) units to its factors' errors, so with x within one
+    unit, x^e is off by < 3e units and T_i by < 3 last^4.
     """
-    import mpmath as mp
-
-    ln_x = k * ln_q
-    limit = None if order is None else -(-order // k)  # k e < order
-    last = _pentagonal_last(ln_x, mp.mp.prec, limit)
-    if last is None:
-        tail = _ln_tail_bound(limit, ln_x) / log(10.0)
-        raise PrecisionError(f"truncation order {order} leaves tail ~1e{tail:.0f} at "
-                             f"|q|={exp(ln_q):.4f}: the q^{k} sum is cut at exponent {limit}")
-    bits = mp.mp.prec + (3 * last**4).bit_length() + 2
-    with mp.workprec(bits + 10):
-        x = mp.mpc(q) ** k
-        x = (int(mp.nint(mp.ldexp(x.real, bits))), int(mp.nint(mp.ldexp(x.imag, bits))))
 
     def mul(a, b):
         return ((a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits)
@@ -605,61 +747,86 @@ def _pentagonal_sums(q, ln_q: float, k: int, weights: int, order: int | None = N
             acc[0] += w * t[0]
             acc[1] += w * t[1]
             w *= e
-    return [mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits)) for re, im in sums]
+    return sums
 
 
-def _q_at(tau):
-    """q = exp(2 pi i tau), an mpc at the working precision, and ln|q| = -2 pi Im tau
-    as a float, which stays finite where |q| underflows one."""
-    import mpmath as mp
+def _cm_sums(tau, prec: int, ks, weights: int, order: int | None = None):
+    """(q, bits, sums): q at tau (_q_at) and, for each k in ks, the balls
+    sums[k] = [T_0, ..., T_{weights-1}] at x = q^k, all at scale 2^-bits.
 
-    tau = mp.mpc(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    return mp.expjpi(2 * tau), float(-2 * mp.pi * tau.imag)
-
-
-def _g_and_dg(tau, order: int | None):
-    """G(tau) and DG = q dG/dq at the working precision, mpc values.
-
-    For k = 1, 2, 3, 6 the sums at x = q^k give E2(k tau) = 1 + 24 T_1/T_0 and
-    D E2(k tau) = 24 k (T_2/T_0 - (T_1/T_0)^2).  With the squared eta quotient
-    W = q prod_k T_0(q^k)^2 and N = E2(tau) - 2 E2(2 tau) - 3 E2(3 tau) + 6 E2(6 tau),
-    G = N/(2W) and DG = DN/(2W) - G sum_k k E2(k tau)/12, as D log W is that sum.
+    As e^i <= e^2, the tail of a sum from exponent m on is below
+    m^2 r^m (1 + r)/(1 - r)^3, r = |x| (_ln_tail_bound); each sum stops at the
+    least e_j where that is below 2^-prec.  An explicit order caps the sums at
+    k e < order, and PrecisionError reports the bound left at the cap if it
+    stops a sum first.  With L the largest exponent kept, bits = prec +
+    bit_length(3 L^4) + 2.  q = m 2^-n comes with m at bits + 4 and n >= 1, so
+    q is within 2^-(bits + 5) and q^k within 6 2^-(bits + 5) < 0.19 units; x is
+    the exact k-th power of m, shifted and rounded, within one unit.  So each
+    T_i is within 2^-prec (the tail) plus 3 last^4 units (_pentagonal_sums),
+    its radius.
     """
-    q, ln_q = _q_at(tau)
-    w, n, dn, dlog_w = q, 0, 0, 0
+    tau = _point(tau)
+    ln_q = -2 * pi * sqrt(tau.y2)
+    lasts = []
+    for k in ks:
+        limit = None if order is None else -(-order // k)  # k e < order
+        last = _pentagonal_last(k * ln_q, prec, limit)
+        if last is None:
+            tail = _ln_tail_bound(limit, k * ln_q) / log(10.0)
+            raise PrecisionError(f"truncation order {order} leaves tail ~1e{tail:.0f} at "
+                                 f"|q|={exp(ln_q):.4f}: the q^{k} sum is cut at exponent {limit}")
+        lasts.append(last)
+    bits = prec + (3 * max(lasts) ** 4).bit_length() + 2
+    q = _q_at(tau, bits + 4)
+    sums = {}
+    for k, last in zip(ks, lasts):
+        re, im = q.m[0], q.m[1]
+        for _ in range(k - 1):
+            re, im = re * q.m[0] - im * q.m[1], re * q.m[1] + im * q.m[0]
+        shift = k * (bits + 4 + q.n) - bits
+        x = (_round_shift(re, shift), _round_shift(im, shift))
+        rad = (1 << (bits - prec)) + 3 * last**4
+        sums[k] = [(*t, rad) for t in _pentagonal_sums(x, bits, last, weights)]
+    return _Q(_shift(q.m, 4), q.n, _shift(q.t, 4)), bits, sums
+
+
+def _g_and_dg(tau, order: int | None, prec: int):
+    """G(tau) and DG = q dG/dq as (g, dg, q, bits): G = g 2^n and DG = dg 2^n for
+    q = m 2^-n, with g and dg balls at scale 2^-bits whose radii bound their error.
+
+    For k = 1, 2, 3, 6 the sums at x = q^k (_cm_sums, to 2^-prec) give
+    E2(k tau) = 1 + 24 T_1/T_0 and D E2(k tau) = 24 k (T_2/T_0 - (T_1/T_0)^2).
+    With the squared eta quotient W = q prod_k T_0(q^k)^2 = 2^-n m prod_k T_0(q^k)^2
+    and N = E2(tau) - 2 E2(2 tau) - 3 E2(3 tau) + 6 E2(6 tau), G = N/(2W) and
+    DG = DN/(2W) - G sum_k k E2(k tau)/12, as D log W is that sum.
+    """
+    q, bits, sums = _cm_sums(tau, prec, (1, 2, 3, 6), 3, order)
+    one = (1 << bits, 0, 0)
+    n = dn = dlog_w = (0, 0, 0)
+    w = q.m
     for k, c in ((1, 1), (2, -2), (3, -3), (6, 6)):
-        t0, t1, t2 = _pentagonal_sums(q, ln_q, k, 3, order)
-        ratio = t1 / t0
-        e2 = 1 + 24 * ratio
-        n += c * e2
-        dn += c * 24 * k * (t2 / t0 - ratio * ratio)
-        dlog_w += k * e2
-        w *= t0 * t0
-    g = n / (2 * w)
-    return g, dn / (2 * w) - g * dlog_w / 12
+        t0, t1, t2 = sums[k]
+        ratio = _div(t1, t0, bits)
+        e2 = _add(one, ratio, 24)
+        n = _add(n, e2, c)
+        dn = _add(dn, _add(_div(t2, t0, bits), _mul(ratio, ratio, bits), -1), c * 24 * k)
+        dlog_w = _add(dlog_w, e2, k)
+        w = _mul(w, _mul(t0, t0, bits), bits)
+    w = _add(w, w)
+    g = _div(n, w, bits)
+    dg = _add(_div(dn, w, bits), _div(_mul(g, dlog_w, bits), (12 << bits, 0, 0), bits), -1)
+    return g, dg, q, bits
 
 
-def eval_P_complex(tau, order: int | None = None, precision_digits: int = 40):
-    """The weight-0 completion -DG(tau) - G(tau)/(2 pi Im tau), DG = q dG/dq, an mpc
-    at precision_digits; an explicit `order` caps the sums at q^order.  Real when
-    the class of tau is its own inverse; elsewhere values come in conjugate
-    pairs, and trace_singular_moduli asserts only their sum's realness."""
-    import mpmath as mp
-
-    with mp.workdps(precision_digits):
-        g, dg = _g_and_dg(tau, order)
-        return -dg - g / (2 * mp.pi * mp.mpc(tau).imag)
-
-
-def cm_root(f: Form, precision_digits: int):
-    """Upper-half-plane root of a tau^2 + b tau + c = 0, an mpc at precision_digits."""
-    import mpmath as mp
-
-    a, b, _ = f
-    with mp.workdps(precision_digits):
-        return mp.mpc(-b, mp.sqrt(-f.discriminant())) / (2 * a)
+def eval_P_complex(tau, order: int | None = None, precision_digits: int = 40) -> CMValue:
+    """The weight-0 completion -DG(tau) - G(tau)/(2 pi Im tau), DG = q dG/dq, a
+    CMValue whose rad bounds its error (_g_and_dg's balls); the sums run to
+    2^-prec at the bits of precision_digits, and an explicit `order` caps them at
+    q^order.  Real when the class of tau is its own inverse; elsewhere values
+    come in conjugate pairs, and trace_singular_moduli asserts only their sum's
+    realness."""
+    g, dg, q, bits = _g_and_dg(tau, order, _prec_of_digits(precision_digits))
+    return _cm_value(_add(_add((0, 0, 0), dg, -1), _div(g, q.t, bits), -1), q.n - bits)
 
 
 def enumerate_QD(n: int):
@@ -695,25 +862,23 @@ def enumerate_QD(n: int):
 
 class SingularTrace(NamedTuple):
     value: float  # the sum of the points' P as doubles, in list order
-    working_sum: object  # the same sum at the working precision, an mpc
+    working_sum: CMValue  # the same sum, exact, with the points' error bounds added up
     points: list  # the forms summed over, enumerate_QD(n)
 
 
 def trace_singular_moduli(n: int, order: int | None = None,
                           precision_digits: int | None = None) -> SingularTrace:
     """Sum of P over the level-6 CM points of discriminant 1 - 24n, (24n - 1) p(n),
-    in doubles and at the working precision, with the points it walked.
+    in doubles and exactly, with the points it walked.
 
     The default digits cover the largest term of 2G's expansion at the lowest
     point (largest |q|): its coefficients grow like exp(4 pi sqrt(m/6)), so the
     terms peak at exp(2 pi^2 / (3 |ln q|)).  Each point's sums stop at their
     own tail bound; the default order is the least that lets the lowest
     point's finish, and an explicit one (>= 1) caps them all.  The summands
-    are conjugate-paired across inverse classes, and the sum's realness is
-    asserted to 1e-8.
+    are conjugate-paired across inverse classes, and the exact sum's realness
+    is asserted to 1e-8.
     """
-    import mpmath as mp
-
     if order is not None and order < 1:
         raise ValueError("order must be at least 1")
     if precision_digits is not None and precision_digits < _MIN_DIGITS:
@@ -723,14 +888,12 @@ def trace_singular_moduli(n: int, order: int | None = None,
     if precision_digits is None:
         peak = 2 * pi * lowest.a / (3 * sqrt(24 * n - 1))
         precision_digits = 30 + max(0, int(peak / log(10.0)) + 5)
-    with mp.workdps(precision_digits):
-        if order is None:
-            ln_q = _q_at(cm_root(lowest, precision_digits))[1]
-            order = 1 + max(k * _pentagonal_last(k * ln_q, mp.mp.prec) for k in (1, 2, 3, 6))
-        values = [eval_P_complex(cm_root(f, precision_digits), order, precision_digits)
-                  for f in forms]
-        working_sum = mp.fsum(values)
-    total = sum(map(complex, values))
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
-        raise PrecisionError(f"trace has imaginary residual {total.imag}")
-    return SingularTrace(total.real, working_sum, forms)
+    if order is None:
+        ln_q = -2 * pi * sqrt(cm_root(lowest).y2)
+        prec = _prec_of_digits(precision_digits)
+        order = 1 + max(k * _pentagonal_last(k * ln_q, prec) for k in (1, 2, 3, 6))
+    values = [eval_P_complex(cm_root(f), order, precision_digits) for f in forms]
+    working_sum = CMValue(*(sum(parts) for parts in zip(*values)))
+    if abs(working_sum.imag) > 1e-8 * max(1, abs(working_sum.real)):
+        raise PrecisionError(f"trace has imaginary residual {float(working_sum.imag)}")
+    return SingularTrace(sum(map(complex, values)).real, working_sum, forms)

@@ -17,6 +17,7 @@ discriminants by residues of n and n / 4, CSV lines cell by cell.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, isqrt, log, pi, sqrt
 
@@ -444,6 +445,35 @@ def bessel_by_ascending_series(nu, x, precision_digits, signed):
             k += 1
 
 
+# --- exact CM points and values as mpmath numbers ----------------------------------
+
+
+def dyadic_mpf(v, bits=0):
+    """An integer at scale 2^-bits, or a dyadic Fraction, as the exact mpf."""
+    if isinstance(v, Fraction):
+        assert v.denominator & (v.denominator - 1) == 0, v
+        v, bits = v.numerator, v.denominator.bit_length() - 1
+    with mp.workprec(max(53, abs(v).bit_length())):
+        return mp.ldexp(mp.mpf(v), -bits)
+
+
+def value_mpc(v):
+    """A rademacher.CMValue as the exact mpc."""
+    re, im = dyadic_mpf(v.real), dyadic_mpf(v.imag)
+    with mp.workprec(max(53, re.man.bit_length(), im.man.bit_length())):
+        return mp.mpc(re, im)
+
+
+def tau_mpc(tau):
+    """tau at the working precision: a rademacher.CMPoint x + i sqrt(y2) from its
+    exact parts, anything else through mp.mpc."""
+    if hasattr(tau, "y2"):
+        x, y2 = tau
+        return mp.mpc(mp.mpf(x.numerator) / x.denominator,
+                      mp.sqrt(mp.mpf(y2.numerator) / y2.denominator))
+    return mp.mpc(tau)
+
+
 # --- term-by-term q-expansion oracle ----------------------------------------------
 
 
@@ -454,7 +484,7 @@ def q_expansion_sums_by_mpc(coeffs, tau):
     sum, kept as the reference: one mpc power of q and one mpc add per term,
     at the caller's working precision.
     """
-    q = mp.expjpi(2 * mp.mpc(tau))
+    q = mp.expjpi(2 * tau_mpc(tau))
     qpow = 1 / q
     total = mp.mpc(0)
     dtotal = mp.mpc(0)
@@ -532,7 +562,7 @@ def q_expansion_sum(coeffs, tau, tail_log10: float = -9.0):
         raise ValueError("tau must lie in the upper half-plane")
     bits = mp.mp.prec + len(coeffs).bit_length() + 16
     with mp.workprec(bits + 10):
-        q = mp.expjpi(2 * mp.mpc(tau))
+        q = mp.expjpi(2 * tau_mpc(tau))
         q_re = int(mp.nint(mp.ldexp(q.real, bits)))
         q_im = int(mp.nint(mp.ldexp(q.imag, bits)))
     _check_tail(coeffs, abs(q), tail_log10)
@@ -581,7 +611,7 @@ def P_by_horner(tau, g2, tail_log10=-9.0):
     g2_coefficients), an mpc at the caller's working precision."""
     g = q_expansion_sum(g2, tau, tail_log10) / 2
     dg = q_expansion_sum([m * c for m, c in enumerate(g2, start=-1)], tau, tail_log10) / 2
-    return -dg - g / (2 * mp.pi * mp.mpc(tau).imag)
+    return -dg - g / (2 * mp.pi * tau_mpc(tau).imag)
 
 
 @lru_cache(maxsize=4)

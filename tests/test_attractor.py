@@ -12,7 +12,8 @@ from classforms import quadforms as qf
 from classforms.attractor import Matrix2x2
 from classforms.quadforms import Form
 
-from conftest import auto_order, j_coefficients, q_expansion_sum, q_expansion_sums_by_mpc
+from conftest import (auto_order, j_coefficients, q_expansion_sum, q_expansion_sums_by_mpc,
+                      value_mpc)
 
 
 def test_discriminant_of_charges_examples():
@@ -212,7 +213,7 @@ def _dense_route(D):
     digits = 15 + math.ceil(sum(pi * sqrt(-D) / (f.a * math.log(10)) for f in forms)
                             + len(forms) * math.log10(2)) + at._EXTRA_DIGITS
     order = auto_order(-pi * sqrt(-D) / forms[-1].a, -digits, 1)
-    return digits, order, [at.cm_root(f, digits) for f in forms]
+    return digits, order, [at.cm_root(f) for f in forms]
 
 
 def test_horner_sum_matches_mpc_oracle_at_hilbert_roots():
@@ -239,7 +240,7 @@ def test_j_matches_the_dense_oracle_at_every_root():
         coeffs = j_coefficients(order)
         with mp.workdps(digits):
             for tau in taus:
-                got = at._j_at(tau)
+                got = value_mpc(at._j_at(tau, mp.mp.prec))
                 want = q_expansion_sum(coeffs, tau, -digits)
                 assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (D, tau)
 
@@ -261,8 +262,8 @@ def test_hilbert_checks_each_root_tail(monkeypatch):
     # sums capped at q^20 the largest |q| of -479 cannot reach its bound
     from classforms.rademacher import PrecisionError
 
-    inner = at._pentagonal_sums
-    monkeypatch.setattr(at, "_pentagonal_sums",
-                        lambda q, ln_q, k, weights, order=None: inner(q, ln_q, k, weights, 20))
+    inner = at._cm_sums
+    monkeypatch.setattr(at, "_cm_sums",
+                        lambda tau, prec, ks, weights, order=None: inner(tau, prec, ks, weights, 20))
     with pytest.raises(PrecisionError, match="truncation order 20 "):
         at.hilbert_class_polynomial(-479)

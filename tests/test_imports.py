@@ -1,4 +1,5 @@
-"""numpy, mpmath and the layer modules load only in the commands that use them.
+"""numpy and the layer modules load only in the commands that use them, and
+mpmath, a test-only dependency, in none.
 
 Every command is a fresh process, so a library imported at module level is
 paid for by every command, and so is compiling a layer module it never
@@ -6,6 +7,7 @@ calls.  The checks run in a fresh interpreter: the pytest session has long
 since imported both libraries and every layer.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -30,15 +32,13 @@ NEITHER = [
     ["rademacher", "rd", "--d", "1", "--n", "2", "--cmax", "20"],
     ["rademacher", "invdelta", "--n", "2", "--cmax", "20"],
     ["cft", "zk", "--k", "1", "--cmax", "20"],
-]
-# the CM-point values are mpmath floats
-MPMATH_ONLY = [
+    # and so do the CM-point values
     ["singular-trace", "--n", "3"],
     ["bh", "hilbert", "-479"],
 ]
 # one interpreter runs them in this order, so the libraries loaded after a
 # command are those it loaded or an earlier command did
-COMMANDS = NEITHER + MPMATH_ONLY
+COMMANDS = NEITHER
 
 CHILD = """
 import contextlib, importlib.util, io, json, sys
@@ -106,9 +106,21 @@ def test_exact_commands_load_neither_library(child_report):
         assert _libraries_after(child_report, argv) == [], argv
 
 
-def test_rademacher_commands_load_mpmath_only(child_report):
-    for argv in MPMATH_ONLY:
-        assert _libraries_after(child_report, argv) == ["mpmath"], argv
+def _imports_mpmath(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "mpmath" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"
+
+
+def test_no_module_imports_mpmath():
+    # mpmath is a test-only dependency: the oracles in tests/ use it, the
+    # package does not, at module level or inside a function
+    sources = sorted((ROOT / "src" / "classforms").glob("*.py"))
+    assert len(sources) >= 12
+    offenders = [f"{path.name}:{node.lineno}" for path in sources
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if _imports_mpmath(node)]
+    assert offenders == []
 
 
 # The layers each command runs: its own module and those that module imports
@@ -119,6 +131,8 @@ OWN_LAYERS = [
     (["ecc", "verify", "--q", "11"], ["arith", "eccensus", "quadforms"]),
     (["classgroup", "-84"], ["arith", "classgroup", "quadforms"]),
     (["bh", "tau", "1", "1", "6"], ["arith", "attractor", "quadforms", "rademacher"]),
+    (["bh", "hilbert", "-479"], ["arith", "attractor", "quadforms", "rademacher"]),
+    (["singular-trace", "--n", "3"], ["arith", "qseries", "quadforms", "rademacher"]),
     (["rademacher", "tau", "--n", "3", "--cmax", "20"],
      ["arith", "qseries", "quadforms", "rademacher"]),
     (["stats", "ng", "--g", "3", "--x", "100"], ["arith", "classgroup", "quadforms", "tables"]),

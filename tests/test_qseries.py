@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -391,3 +392,18 @@ def test_kernel_leaves_the_decimal_context_alone():
         assert repr(decimal.getcontext()) == before
     assert_same_series(got[0], schoolbook_product(f, f))
     assert_same_series(got[1], recurrence_inverse(f))
+
+
+def test_slots_wider_than_the_int_str_cap_read_back_through_decimal():
+    # a product slot wider than the interpreter's cap on int-from-str digits
+    # (here 640, the least it allows) is read through decimal, which has none
+    f = qs.QSeries(0, [10**400 + k for k in range(6)], 6)
+    g = qs.QSeries(0, [-(10**300) * (k + 1) for k in range(6)], 6)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = [f * g, f * f]
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert_same_series(got[0], schoolbook_product(f, g))
+    assert_same_series(got[1], schoolbook_product(f, f))

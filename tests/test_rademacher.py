@@ -1,34 +1,28 @@
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, gcd, log, log2, pi, sqrt
+from math import atan2, ceil, gcd, log, log2, pi, sqrt
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from classforms import arith
+from classforms import attractor as at
 from classforms import qseries as qs
 from classforms import rademacher as rd
 from classforms.quadforms import Form, class_number, enumerate_reduced, reduce as reduce_form
 from classforms.rademacher import PrecisionError, RademacherParams
 
-from conftest import (P_by_horner, auto_order, bessel_by_ascending_series, g2_coefficients,
-                      gamma0_equivalent, j_coefficients, kloosterman_by_exponentials,
-                      level_rep_by_window_search, q_expansion_sum, q_expansion_sums_by_mpc)
-
-
-def _mpf(v, bits=0):
-    # an integer at scale 2^-bits, or a dyadic Fraction, as the exact mpf
-    if isinstance(v, Fraction):
-        assert v.denominator & (v.denominator - 1) == 0, v
-        v, bits = v.numerator, v.denominator.bit_length() - 1
-    with mp.workprec(max(53, abs(v).bit_length())):
-        return mp.ldexp(mp.mpf(v), -bits)
+from conftest import (P_by_horner, auto_order, bessel_by_ascending_series, dyadic_mpf,
+                      g2_coefficients, gamma0_equivalent, j_coefficients,
+                      kloosterman_by_exponentials, level_rep_by_window_search, q_expansion_sum,
+                      q_expansion_sums_by_mpc, tau_mpc, value_mpc)
 
 
 def _kloosterman(m, n, c, digits=30):
     modulus = rd._modulus(c, digits)
-    return _mpf(rd._kloosterman_at(m, n, modulus), modulus[-1])
+    return dyadic_mpf(rd._kloosterman_at(m, n, modulus), modulus[-1])
 
 
 def _bessel_bits(kind, nu, x, digits):
@@ -46,7 +40,7 @@ def _bessel_mpf(kind, nu, x, digits=30):
     else:
         num, den = float(x).as_integer_ratio()
     bits = _bessel_bits(kind, nu, num / den, digits)[0]
-    return _mpf(rd._bessel_fixed(kind, nu, num, den, bits), bits)
+    return dyadic_mpf(rd._bessel_fixed(kind, nu, num, den, bits), bits)
 
 
 def _bessel(kind, nu, x, digits=30):
@@ -54,8 +48,8 @@ def _bessel(kind, nu, x, digits=30):
 
 
 def _G(tau, order=None, digits=40):
-    with mp.workdps(digits):
-        return complex(rd._g_and_dg(tau, order)[0])
+    g, _, q, bits = rd._g_and_dg(tau, order, rd._prec_of_digits(digits))
+    return complex(rd._cm_value(g, q.n - bits))
 
 
 # --- Kloosterman sums ---------------------------------------------------------
@@ -343,7 +337,7 @@ def test_each_entry_point_is_its_textbook_sum():
             got = rd.rademacher_inv_delta_partials(n, params)
             assert len(got) == 12
             for g, w in zip(got, want):
-                assert abs(_mpf(g) - w) <= mp.mpf(10) ** -25 * abs(w), (n, g, w)
+                assert abs(dyadic_mpf(g) - w) <= mp.mpf(10) ** -25 * abs(w), (n, g, w)
         for n in (2, 3):
             want = _textbook_partials(1, n, 11, True, 2 * pi_ * mp.mpf(n) ** 5.5,
                                       4 * pi_ * mp.sqrt(n), 12, digits)
@@ -514,15 +508,17 @@ def test_eval_G_tail_guard_uses_its_tolerance():
     # and the value it passes is the dense oracle's, which needs order ~400
     with mp.workdps(40):
         want = P_by_horner(0.12j, g2_coefficients(400), -35)
-    got = rd.eval_P_complex(0.12j, order=least[40], precision_digits=40)
+    got = value_mpc(rd.eval_P_complex(0.12j, order=least[40], precision_digits=40))
     assert abs(got - want) < 1e-30 * abs(want)
 
 
 def test_pentagonal_sums_stop_at_their_stated_bound():
     # the kept exponents are the least whose tail bound is below 2^-prec,
     # the true weighted tail is below that bound, and the sums match the
-    # products and derivatives they stand for, at |x| from 1e-300 to 0.95
+    # products and derivatives they stand for, within their radii, at |q|
+    # from 1e-300 to 0.95
     for qabs in (1e-300, 0.004, 0.08, 0.47, 0.86, 0.95):
+        tau = complex(atan2(0.8, 0.6) / (2 * pi), -log(qabs) / (2 * pi))
         for digits in (15, 60, 300):
             with mp.workdps(digits):
                 prec = mp.mp.prec
@@ -538,11 +534,16 @@ def test_pentagonal_sums_stop_at_their_stated_bound():
                 r = mp.mpf(qabs)
                 tail = mp.nsum(lambda m: m * m * r**m, [left, mp.inf])
                 assert tail < mp.mpf(2) ** -prec
-                x = mp.mpc(qabs * 0.6, qabs * 0.8)
+                x = mp.expjpi(2 * mp.mpc(tau))
                 product = mp.qp(x)  # prod (1 - x^n)
                 log_derivative = mp.diff(lambda y: mp.log(mp.qp(y)), x) * x
+            _, bits, sums = rd._cm_sums(tau, prec, (1,), 3)
+            t0, t1, t2 = (rd._cm_value(t, -bits) for t in sums[1])
+            assert t0.rad <= 1.25 * 2.0 ** -prec
+            with mp.workdps(digits + 20):
+                assert abs(value_mpc(t0) - product) <= dyadic_mpf(t0.rad), (qabs, digits)
             with mp.workdps(digits):
-                t0, t1, t2 = rd._pentagonal_sums(x, ln_x, 1, 3)
+                t0, t1 = value_mpc(t0), value_mpc(t1)
                 tolerance = 8 * mp.mpf(2) ** -prec
                 assert abs(t0 - product) < tolerance * max(1, abs(product)), (qabs, digits)
                 if qabs < 0.9:
@@ -552,13 +553,105 @@ def test_pentagonal_sums_stop_at_their_stated_bound():
 
 def test_pentagonal_sums_where_abs_q_underflows_a_float():
     # at a = 1 and D = -57003, |q| = exp(-pi sqrt(57003)) ~ 2e-326; the sums
-    # keep their constant term only, and the mpmath q keeps its value
-    with mp.workdps(30):
-        q, ln_q = rd._q_at(rd.cm_root(Form(1, 1, 14251), 30))
-        assert ln_q == pytest.approx(-750.06, abs=0.01)
-        assert rd._pentagonal_last(ln_q, mp.mp.prec) == 0
-        assert rd._pentagonal_sums(q, ln_q, 1, 3) == [1, 0, 0]
-        assert q != 0
+    # keep their constant term only, and q keeps its value as m 2^-n
+    tau = rd.cm_root(Form(1, 1, 14251))
+    prec = rd._prec_of_digits(30)
+    ln_q = -2 * pi * sqrt(tau.y2)
+    assert ln_q == pytest.approx(-750.06, abs=0.01)
+    assert rd._pentagonal_last(ln_q, prec) == 0
+    q, bits, sums = rd._cm_sums(tau, prec, (1,), 3)
+    assert [complex(rd._cm_value(t, -bits)) for t in sums[1]] == [1, 0, 0]
+    m = complex(*q.m[:2]) / 2**bits
+    assert log(abs(m)) - q.n * log(2) == pytest.approx(ln_q, rel=1e-12)
+    with mp.workdps(40):
+        want = mp.expjpi(2 * tau_mpc(tau))
+        got = mp.mpc(dyadic_mpf(q.m[0], bits + q.n), dyadic_mpf(q.m[1], bits + q.n))
+        assert abs(got - want) <= q.m[2] * mp.mpf(2) ** -(bits + q.n)
+
+
+# --- the fixed-point CM kernel against the dense routes -------------------------
+
+# the least order of the dense 2G expansion for a 10^-60 tail at every level-6
+# point of n <= 60 (the worst, [1080, 1441, 481] at n = 60, has |q| = 0.90)
+_G2_ORDER = 4500
+
+
+def _dense_slack(coeffs, ln_q, wide):
+    # the term-by-term loop's error: term m carries m roundings of 10^-wide
+    return mp.mpf(10) ** -wide * sum(
+        mp.exp(log(abs(m)) + abs(c).bit_length() * log(2.0) + m * ln_q)
+        for m, c in enumerate(coeffs, start=-1) if c and m)
+
+
+@st.composite
+def _cm_points(draw):
+    """(tau, form): a point of the fundamental domain as a complex number, or
+    a level-6 point of n <= 60 with its form."""
+    if draw(st.booleans()):
+        x = draw(st.floats(-0.5, 0.5))
+        return complex(x, draw(st.floats(sqrt(1 - x * x), 4.0))), None
+    f = draw(st.sampled_from(rd.enumerate_QD(draw(st.integers(1, 60)))))
+    return rd.cm_root(f), f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(point=_cm_points(), digits=st.sampled_from((20, 40)))
+@example(point=(rd.cm_root(Form(1, 1, 14251)), Form(1, 1, 14251)), digits=30)  # |q| ~ 2e-326
+def test_cm_kernel_within_its_stated_bounds(point, digits):
+    # q, T_0..T_2 at q, q^2, q^3, q^6, G, P and j against the dense routes run
+    # 20 digits higher: each within its docstring's bound (the term-by-term
+    # loop's own rounding aside), and each bound no looser than the
+    # tolerance the values were held to before they carried one
+    tau, form = point
+    prec, wide = rd._prec_of_digits(digits), digits + 20
+    ln_q = -2 * pi * complex(tau).imag
+    q = rd._q_at(rd._point(tau), prec)
+    with mp.workdps(wide):
+        t = tau_mpc(tau)
+        one_unit = mp.mpf(2) ** -prec
+        got = mp.mpc(dyadic_mpf(q.m[0], prec + q.n), dyadic_mpf(q.m[1], prec + q.n))
+        assert q.m[2] == 1 and abs(got - mp.expjpi(2 * t)) <= one_unit * mp.mpf(2) ** -q.n
+        assert abs(dyadic_mpf(q.t[0], prec) - 2 * mp.pi * t.imag) <= one_unit
+
+    _, bits, sums = rd._cm_sums(tau, prec, (1, 2, 3, 6), 3)
+    for k in (1, 2, 3, 6):
+        n = max(2, ceil((wide + 15) * log(10.0) / (-k * ln_q)))
+        euler = [0] + qs.euler_product(n).coeffs
+        t0, t1, t2 = (rd._cm_value(s, -bits) for s in sums[k])
+        assert t0.rad <= 1.25 * 2.0 ** -prec
+        with mp.workdps(wide):
+            want0, want1 = q_expansion_sums_by_mpc(euler, k * tau_mpc(tau))
+            want2 = q_expansion_sums_by_mpc([m * c for m, c in enumerate(euler, -1)],
+                                            k * tau_mpc(tau))[1]
+            slack = mp.mpf(10) ** (-digits - 10)
+            for got, want in ((t0, want0), (t1, want1), (t2, want2)):
+                assert abs(value_mpc(got) - want) <= dyadic_mpf(got.rad) + slack, (k, tau)
+
+    g, _, qg, gbits = rd._g_and_dg(tau, None, prec)
+    G = rd._cm_value(g, qg.n - gbits)
+    P = rd.eval_P_complex(tau, None, digits)
+    order = auto_order(ln_q, -wide, 6)
+    assert order <= _G2_ORDER
+    g2 = g2_coefficients(_G2_ORDER)[:order + 1]
+    with mp.workdps(wide):
+        sums2g = q_expansion_sums_by_mpc(g2, tau)
+        dense = P_by_horner(tau, g2, -wide)
+        slack = _dense_slack(g2, ln_q, wide)
+        for got, want in ((G, sums2g[0] / 2), (P, dense)):
+            assert abs(value_mpc(got) - want) <= dyadic_mpf(got.rad) + slack, tau
+            assert dyadic_mpf(got.rad) <= mp.mpf(10) ** (10 - digits) * max(1, abs(want)), tau
+
+    # j is SL2(Z)-invariant: at a level-6 point the oracle sums at the
+    # reduced form's root, where |q| < 0.005
+    j = at._j_at(tau, prec)
+    reduced = tau if form is None else rd.cm_root(reduce_form(form))
+    ln_r = -2 * pi * complex(reduced).imag
+    coeffs = j_coefficients(auto_order(ln_r, -wide, 1))
+    with mp.workdps(wide):
+        want = q_expansion_sum(coeffs, reduced, -wide)
+        slack = _dense_slack(coeffs, ln_r, wide) + mp.mpf(10) ** -wide * abs(want)
+        assert abs(value_mpc(j) - want) <= dyadic_mpf(j.rad) + slack, tau
+        assert dyadic_mpf(j.rad) <= mp.mpf(10) ** (5 - digits) * max(1, abs(want)), tau
 
 
 def test_horner_sum_matches_mpc_oracle_at_trace_points():
@@ -578,7 +671,7 @@ def test_horner_sum_matches_mpc_oracle_at_trace_points():
             (abs(c).bit_length() * log(2.0) if c else 0.0) + m * ln_q
             for m, c in enumerate(g2, start=-1)) / log(10.0)) + 5)
         for f in points:
-            tau = rd.cm_root(f, digits)
+            tau = rd.cm_root(f)
             with mp.workdps(digits + 20):
                 wants = q_expansion_sums_by_mpc(g2, tau)
             with mp.workdps(digits):
@@ -604,12 +697,12 @@ def test_P_matches_the_dense_oracle_at_every_point(monkeypatch):
     for n in range(1, 61):
         rd.trace_singular_moduli(n)
     assert len(calls) == sum(len(rd.enumerate_QD(n)) for n in range(1, 61))
-    orders = [auto_order(float(-2 * pi * tau.imag), 5 - digits, 6) for tau, digits, _ in calls]
+    orders = [auto_order(-2 * pi * complex(tau).imag, 5 - digits, 6) for tau, digits, _ in calls]
     g2 = g2_coefficients(max(orders))
     for (tau, digits, got), order in zip(calls, orders):
         with mp.workdps(digits):
             want = P_by_horner(tau, g2[:order + 1], 5 - digits)
-            assert abs(got - want) <= mp.mpf(10) ** (10 - digits) * max(1, abs(want)), tau
+            assert abs(value_mpc(got) - want) <= mp.mpf(10) ** (10 - digits) * max(1, abs(want)), tau
 
 
 def _criterion(n, ln_q, tail_log10, level):
@@ -664,7 +757,7 @@ def test_QD_forms_satisfy_congruences_and_root_equation():
             a, b, c = f
             assert a > 0 and a % 6 == 0 and b % 12 == 1
             assert b * b - 4 * a * c == 1 - 24 * n
-            tau = complex(rd.cm_root(f, 30))
+            tau = complex(rd.cm_root(f))
             residual = abs(a * tau * tau + b * tau + c)
             assert residual < 1e-12 * a
             # exact height above the real axis
@@ -713,14 +806,14 @@ def test_gamma0_equivalence_detects_translates():
 def test_eval_P_real_at_ambiguous_point_complex_elsewhere():
     points = rd.enumerate_QD(1)
     # [6,1,1] is its own inverse class: P is real there
-    value = complex(rd.eval_P_complex(rd.cm_root(points[0], 40), order=400, precision_digits=40))
+    value = complex(rd.eval_P_complex(rd.cm_root(points[0]), order=400, precision_digits=40))
     assert abs(value.imag) <= 1e-8 * max(1.0, abs(value.real))
     assert value.real == pytest.approx(13.965486281512451, rel=1e-9)
     # the other two points pair into conjugates and are individually complex
-    v1 = rd.eval_P_complex(rd.cm_root(points[1], 40), order=400, precision_digits=40)
-    v2 = rd.eval_P_complex(rd.cm_root(points[2], 40), order=400, precision_digits=40)
+    v1 = rd.eval_P_complex(rd.cm_root(points[1]), order=400, precision_digits=40)
+    v2 = rd.eval_P_complex(rd.cm_root(points[2]), order=400, precision_digits=40)
     assert abs(v1.imag) > 1.0
-    assert v1 == pytest.approx(v2.conjugate(), rel=1e-9)
+    assert complex(v1) == pytest.approx(complex(v2).conjugate(), rel=1e-9)
 
 
 def test_cm_evaluators_default_to_their_own_tail_bound():
@@ -728,7 +821,7 @@ def test_cm_evaluators_default_to_their_own_tail_bound():
     # short, while the default lets each stop at its tail bound
     lowest = max(rd.enumerate_QD(30), key=lambda f: f.a)
     assert lowest == Form(540, 721, 241)
-    tau = rd.cm_root(lowest, 40)
+    tau = rd.cm_root(lowest)
     with pytest.raises(PrecisionError):
         rd.eval_P_complex(tau, order=400)
     assert rd.eval_P_complex(tau) == rd.eval_P_complex(tau, order=10**6)
