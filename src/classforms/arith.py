@@ -7,8 +7,10 @@ commands factor their few small moduli with smallest_prime_factors(), a list
 sieve.  sqrt_mod() lists the square roots of n modulo m (Cohen, GTM 138,
 section 1.5): per prime power an Euler-criterion test, Tonelli-Shanks and
 Hensel lifting for units, bit by bit at p = 2, the p-adic valuation split
-where p | n, then the Chinese remainder theorem.  pentagonal() gives the
-exponents of prod (1 - q^n) to qseries and rademacher alike.
+where p | n, then the Chinese remainder theorem; rademacher takes its
+level-6 Heegner points from it, and quadforms its reduced forms from the
+prime-power parts.  pentagonal() gives the exponents of prod (1 - q^n) to
+qseries and rademacher alike.
 """
 
 from itertools import count

@@ -16,8 +16,7 @@ from math import ceil, hypot, log, log10, pi
 from typing import NamedTuple
 
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
-from .rademacher import (PrecisionError, _add, _cm_sums, _cm_value, _div, _mul, _prec_of_digits,
-                         _round_shift, _shift, cm_root)
+from .rademacher import PrecisionError, _j_at, _prec_of_digits, _round_shift, cm_root
 
 
 class ChargeInvariants(NamedTuple):
@@ -239,30 +238,6 @@ def attractor_tau(f) -> complex:
 
 
 _EXTRA_DIGITS = 10
-
-
-def _j_at(tau, prec: int, order: int | None = None):
-    """Klein's j at tau, a rademacher.CMValue whose rad bounds its error.
-
-    j = (256 f + 1)^3 / f = 1/f + 768 + 196608 f + 16777216 f^2 with
-    f = Delta(2 tau)/Delta(tau) = q r^24, r = S(q^2)/S(q) and S = prod (1 - q^n),
-    the pentagonal sum T_0 to 2^-prec (rademacher._cm_sums).  With q = m 2^-n,
-    f = F 2^-n for F = m r^24, and j = 2^n (1/F + 2^-n (768 + 196608 F 2^-n +
-    16777216 F^2 2^-2n)), so j keeps its relative precision however small |q|
-    is.  r^24 is ((r^3)^2)^2)^2, and every step is a ball (rademacher._mul,
-    _div), whose radius holds the error of its operands and its floors.
-    """
-    q, bits, sums = _cm_sums(tau, prec, (1, 2), 1, order)
-    r = _div(sums[2][0], sums[1][0], bits)
-    r24 = _mul(_mul(r, r, bits), r, bits)
-    for _ in range(3):
-        r24 = _mul(r24, r24, bits)
-    f = _mul(q.m, r24, bits)
-    small = _add(_shift(_add((0, 0, 0), f, 196608), q.n),
-                 _shift(_mul(f, f, bits), 2 * q.n), 16777216)
-    small = _add(small, (768 << bits, 0, 0))
-    j = _add(_div((1 << bits, 0, 0), f, bits), _shift(small, q.n))
-    return _cm_value(j, q.n - bits)
 
 
 def _at_scale(x: Fraction, bits: int) -> int:

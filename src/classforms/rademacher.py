@@ -17,11 +17,12 @@ one fixed-point cosine table, against which the Kloosterman sums are exact
 integer residue bins; each c evaluates one fixed-point Bessel value per
 distinct kind and |m| n (_bessel_fixed: the ascending series below a
 threshold set by the bits wanted, Hankel's expansions above it) and adds
-the integer K B / c to each pair's accumulator.  pi, ln 2 and each table's
-cos(2 pi/c) come from integer series, the prefactors from isqrt, and the
-partial sums come back as exact dyadic Fractions, which float() rounds
-correctly.  Every sum converges absolutely (the weight-12 terms are
-O(c^-11.5)) and is read off its last partial sum at params.cmax.
+the integer K B / c to each pair's accumulator.  pi and ln 2 come from
+integer series, every exponential, cosine and sine from one routine, _exp,
+through one of two range reductions (_cos_sin mod pi/2, _exp_ln2 by ln 2),
+the prefactors from isqrt, and the partial sums come back as exact dyadic
+Fractions, which float() rounds correctly.  Every sum converges absolutely
+(the weight-12 terms are O(c^-11.5)) and is read off at params.cmax.
 
 The second half of the module evaluates the weight -2 level-6 function G and
 its weight-0 completion P on CM points, and sums P over the level-6 classes
@@ -33,20 +34,21 @@ pentagonal numbers e_j of arith.pentagonal at x = q^k, which has O(sqrt N)
 terms up to x^N.  It runs in fixed point over Gaussian integers, stops each
 sum at its own |q| once a stated tail bound is below the working precision,
 and raises PrecisionError when an explicit order cuts it first.  G and P take
-T_0, T_1 and T_2 at q, q^2, q^3, q^6; attractor takes T_0 at q and q^2 for j.
+T_0, T_1 and T_2 at q, q^2, q^3, q^6; j (_j_at, for attractor's class
+polynomials) takes T_0 at q and q^2.
 
-Every CM value is computed in Python integers, on the same _pi, _ln2,
-_taylor_exp and _round_shift as the sums.  A CM point is held exactly
-(CMPoint: Re tau and (Im tau)^2 rational), and q = m 2^-n keeps its binary
-exponent apart from a Gaussian-integer mantissa, so that G ~ 1/q and j ~ 1/f
-keep their relative precision however small |q| is.  The arithmetic after
-the sums runs on balls, Gaussian integers with an integer radius that bounds
-their error, and each value comes back as an exact dyadic CMValue with that
-bound.
+Every CM value is computed in Python integers, on the same _pi, _ln2, _exp
+and _round_shift as the sums.  A CM point is held exactly (CMPoint: Re tau
+and (Im tau)^2 rational), and q = m 2^-n keeps its binary exponent apart
+from a Gaussian-integer mantissa, so that G ~ 1/q and j ~ 1/f keep their
+relative precision however small |q| is.  The arithmetic after the sums
+runs on balls, Gaussian integers with an integer radius that bounds their
+error, and each value comes back as an exact dyadic CMValue with that
+bound; the ball format stays inside this module.
 
-Kloosterman sums (_kloosterman_at), Bessel values (_bessel_fixed) and G
-(_g_and_dg) have no public wrappers: the tests hold these kernels to their
-oracles.  No function here imports mpmath or numpy.
+Kloosterman sums (_kloosterman_at), Bessel values (_bessel_fixed), G
+(_g_and_dg) and j (_j_at) have no public wrappers: the tests hold these
+kernels to their oracles.  No function here imports mpmath or numpy.
 """
 
 from fractions import Fraction
@@ -56,7 +58,7 @@ from math import ceil, exp, expm1, factorial, floor, isqrt, lgamma, log, log1p, 
 from operator import mul
 from typing import NamedTuple
 
-from .arith import pentagonal
+from .arith import pentagonal, prime_divisors, sqrt_mod
 from .quadforms import Form, enumerate_reduced, reduce
 
 _LN2 = log(2.0)
@@ -138,26 +140,62 @@ def _ln2(bits: int) -> int:
     return _round_shift(2 * _arctan_inverse(3, bits + g, True), g)
 
 
-def _taylor_exp(t: int, bits: int, imaginary: bool):
-    """e^t, or (cos t, sin t) when imaginary, for 0 <= t <= 4 at scale 2^bits.
-
-    Each value is within one unit.  The terms t^n/n! are summed at bits + g:
-    each is one floored product and one floored division from the last, under
-    two units of its own error, which later terms carry forward times at most
-    e^t < 55, so T terms (T < bits + g + 12) leave under 110 T < 2^(g - 2) units.
+def _exp(t: int, bits: int, imaginary: bool):
+    """e^t, or (cos t, sin t) when imaginary, for 0 <= t <= 1 at scale 2^bits,
+    each within one unit: the Taylor series at t 2^-r < 2^-h, r >= 0 least and
+    h = isqrt(bits) + 1, halved when imaginary (a complex squaring is three
+    products, a real one one), squared r times, all at s = bits + r + 5 + g.
+    Each term of the series is one floored product and division from the
+    last, under two units of its own error carried forward times
+    e^(t 2^-r) < 2 (h >= 1), so its T <= s + 1 terms and tail leave each part
+    within 4 (T + 1) < 2^(g - 2) units and the value within 2^(g - 1.5), of a
+    modulus e^(t 2^-r) >= 1, or 1 when imaginary.  Each squaring at most
+    doubles the error relative to the value, then adds sqrt(2) units: under
+    2^(r + g - 1.4) units relative at s, which for |e^t| <= e or |e^(it)| = 1
+    is under 2^-4.9 units at bits before the rounding.
     """
-    g = (bits + 64).bit_length() + 9
-    w = bits + g
-    t <<= g
-    term, n = 1 << w, 0
+    r = max(0, t.bit_length() - bits + (isqrt(bits) + 1 >> imaginary))
+    g = (bits + r + 69).bit_length() + 9
+    s = bits + r + 5 + g
+    t <<= g + 5  # t 2^-r at scale 2^s
+    term, n = 1 << s, 0
     sums = [term, 0, 0, 0]  # the terms with n = 0, 1, 2, 3 mod 4
     while term:
         n += 1
-        term = (term * t >> w) // n
+        term = (term * t >> s) // n
         sums[n & 3] += term
-    if imaginary:
-        return _round_shift(sums[0] - sums[2], g), _round_shift(sums[1] - sums[3], g)
-    return _round_shift(sum(sums), g)
+    c, si = (sums[0] - sums[2], sums[1] - sums[3]) if imaginary else (sum(sums), 0)
+    for _ in range(r):
+        c, si = (c * c - si * si) >> s, c * si >> (s - 1)
+    c, si = _round_shift(c, s - bits), _round_shift(si, s - bits)
+    return (c, si) if imaginary else c
+
+
+def _cos_sin(a: int, pi_a: int, extra: int, bits: int):
+    """(cos a, sin a) at scale 2^bits for an angle a at scale 2^(bits + extra),
+    extra >= 0, with pi_a pi at that scale within one unit.
+
+    a = k pi/2 + s, |s| <= pi/4, and pi_a >> 1 is within one unit, so with a
+    within E units, s is within E + |k|, and cos s and sin s (_exp) within
+    (E + |k|) 2^-extra + 1 units, one more when extra > 0 floors |s| 2^-extra.
+    """
+    quarter = pi_a >> 1
+    k, s = divmod(a + (quarter >> 1), quarter)
+    s -= quarter >> 1
+    cos_s, sin_s = _exp(abs(s) >> extra, bits, True)
+    if s < 0:
+        sin_s = -sin_s
+    return ((cos_s, sin_s), (-sin_s, cos_s), (-cos_s, -sin_s), (sin_s, -cos_s))[k & 3]
+
+
+def _exp_ln2(y: int, ln2_a: int, extra: int, bits: int):
+    """(m, n) with e^y = m 2^(n - bits), for y at scale 2^(bits + extra), extra >= 0,
+    with ln2_a ln 2 at that scale within one unit: y = n ln 2 + r, 0 <= r < ln 2,
+    and m = e^r (_exp).  With y within E units, r is within E + |n|, and m, as
+    e^r < 2, within 2 (E + |n|) 2^-extra + 1, two more when extra > 0 floors r.
+    """
+    n, r = divmod(y, ln2_a)
+    return _exp(r >> extra, bits, False), n
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +207,17 @@ def _modulus(c: int, precision_digits: int):
     """What every Kloosterman sum mod c shares: (c, units, inverses, cos table, bits).
 
     The units d mod c (d = 0 alone when c = 1), sieved off the multiples of
-    c's prime divisors, their inverses, and a fixed-point table of
-    cos(2 pi k/c) * 2^bits, k <= c/2, built from one rounded cos(2 pi/c) by
-    Chebyshev's recurrence (fixed-point exponential sums as in Johansson,
-    LMS J. Comput. Math. 2012); cos(2 pi/c) is _taylor_exp's at integer pi.
+    c's prime divisors (arith.prime_divisors), their inverses, and a fixed-point
+    table of cos(2 pi k/c) * 2^bits, k <= c/2, built from one rounded cos(2 pi/c)
+    by Chebyshev's recurrence (fixed-point exponential sums as in Johansson,
+    LMS J. Comput. Math. 2012); cos(2 pi/c) is _cos_sin's at integer pi.
     A Poincare sum builds it once per c for all its (m, n); it is not cached
     across calls, which saved no time on the Rademacher sums and raised their
     peak memory.
     """
     coprime = bytearray(b"\x01") * c
-    rest, p = c, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            coprime[::p] = bytes(-(-c // p))
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        coprime[::rest] = bytes(-(-c // rest))
+    for p in prime_divisors(c):
+        coprime[::p] = bytes(-(-c // p))
     units = list(compress(range(c), coprime))
     inverses = [pow(d, -1, c) for d in units]
     # cos k theta, theta = 2 pi/c, by the three-term recurrence
@@ -201,9 +232,10 @@ def _modulus(c: int, precision_digits: int):
     bits = ceil(precision_digits * log2(10.0)) + 3 * c.bit_length()
     cos_table = [1 << bits]
     if c > 1:
-        # 2 pi/c at bits + 4 is off by under 3 units and its cosine by one more,
-        # so cos theta rounds to within 1/2 + 4/16 units
-        cos_theta = _round_shift(_taylor_exp(2 * _pi(bits + 4) // c, bits + 4, True)[0], 4)
+        # 2 pi/c <= pi at bits + 4 is off by under 3 units and in quadrant k <= 2,
+        # so its cosine by under 6, and cos theta rounds to within 1/2 + 6/16 units
+        pi_t = _pi(bits + 4)
+        cos_theta = _round_shift(_cos_sin(2 * pi_t // c, pi_t, 0, bits + 4)[0], 4)
         cos_table.append(cos_theta)
         two_cos = 2 * cos_theta
         for k in range(1, c // 2):
@@ -353,7 +385,9 @@ def _bessel_hankel(kind: str, nu: int, num: int, den: int, bits: int, w: int, x:
       10.40(iii)) holds the remainder within 2 chi(k) e^(pi |nu^2 - 1/4|/x)
       times the first neglected term, and the e^-x companion term is below
       e^-2x relative; the sum is at least 1/4 for x >= nu^2/2.  e^x is
-      e^r 2^n, n = floor(x/ln 2), with e^r from _taylor_exp.
+      e^r 2^n from _exp_ln2.
+    x is floored at wr = w + bit_length(ceil(x)) + 4, where E + |n| and E + |k|
+    (_exp_ln2, _cos_sin), under 2x + 3 units, are below a quarter unit of 2^-w.
     The guard bits of w hold the floors, the remainder and the factors' few
     units each under half a unit of 2^-bits.
     """
@@ -367,30 +401,16 @@ def _bessel_hankel(kind: str, nu: int, num: int, den: int, bits: int, w: int, x:
         sums[k & 3] += t
         if k > nu and abs(t) <= nu + 2:
             break
+    wr = w + ceil(x).bit_length() + 4
+    y = (num << wr) // den  # x at scale 2^wr, floored
     if kind == "I":
-        n2 = floor(x / _LN2)
-        wr = w + n2.bit_length() + 4
-        ln2 = _ln2(wr)
-        r = (num << wr) // den - n2 * ln2  # x - n2 ln 2, within n2 + 1 units
-        while r < 0:
-            r, n2 = r + ln2, n2 - 1
-        while r >= ln2:
-            r, n2 = r - ln2, n2 + 1
-        e_r = _taylor_exp(r >> (wr - w), w, False)
+        e_r, n2 = _exp_ln2(y, _ln2(wr), wr - w, w)
         h = (ceil(x).bit_length() + 5) // 2  # 2^h > sqrt(2 pi x): 1/sqrt(2 pi x) to w bits
         root = isqrt((den << (3 * w + 2 * h)) // (2 * _pi(w) * num))
         series = sums[0] - sums[1] + sums[2] - sums[3]
         return _round_shift(e_r * root * series, 3 * w + h - n2 - bits)
-    # x - (2 nu + 1) pi/4, reduced mod pi/2 to s in [-pi/4, pi/4)
-    wr = w + ceil(x).bit_length() + 4
     pi_r = _pi(wr)
-    quarter = pi_r >> 1
-    q, s = divmod((num << wr) // den - ((2 * nu + 1) * pi_r >> 2) + (quarter >> 1), quarter)
-    s -= quarter >> 1
-    cos_s, sin_s = _taylor_exp(abs(s) >> (wr - w), w, True)
-    if s < 0:
-        sin_s = -sin_s
-    cos_a, sin_a = ((cos_s, sin_s), (-sin_s, cos_s), (-cos_s, -sin_s), (sin_s, -cos_s))[q & 3]
+    cos_a, sin_a = _cos_sin(y - ((2 * nu + 1) * pi_r >> 2), pi_r, wr - w, w)
     amplitude = isqrt((2 * den << (3 * w)) // (_pi(w) * num))  # sqrt(2/(pi x)) 2^w
     p_sum, q_sum = sums[0] - sums[2], sums[1] - sums[3]
     return _round_shift(amplitude * (p_sum * cos_a - q_sum * sin_a), 3 * w - bits)
@@ -638,27 +658,6 @@ def _near(constant, bits: int) -> int:
     return _round_shift(constant(top), top - bits)
 
 
-def _exp_squared(t: int, bits: int, imaginary: bool):
-    """_taylor_exp(t, bits, imaginary) within one unit, for 0 <= t <= 1 at scale
-    2^bits, by fewer terms at high precision: the series at t 2^-r, r = isqrt(bits),
-    squared r times at w = bits + r + 5.  Each squaring at most doubles the error
-    relative to the value, then adds sqrt(2) units, from sqrt(2) units of the
-    series: 2^(r + 1.6) units relative at w, which for |e^t| <= e or
-    |e^(it)| = 1 is under 2^-1.8 units at bits before the rounding.
-    """
-    r = isqrt(bits)
-    w = bits + r + 5
-    v = _taylor_exp(t << 5, w, imaginary)
-    for _ in range(r):
-        if imaginary:
-            v = ((v[0] * v[0] - v[1] * v[1]) >> w, v[0] * v[1] >> (w - 1))
-        else:
-            v = v * v >> w
-    if imaginary:
-        return _round_shift(v[0], r + 5), _round_shift(v[1], r + 5)
-    return _round_shift(v, r + 5)
-
-
 class _Q(NamedTuple):
     m: tuple  # the mantissa, a ball at scale 2^-bits with 1 <= |m| < 2
     n: int  # q = m 2^-n
@@ -669,12 +668,12 @@ def _q_at(tau: CMPoint, bits: int) -> _Q:
     """q = exp(2 pi i tau) as m 2^-n, so that q keeps its relative precision
     however small it is, and t = 2 pi Im tau; m and t are within one unit.
 
-    With y = Im tau, n = ceil(t/ln 2) and m = e^(n ln 2 - t) (cos theta + i sin theta),
-    theta = 2 pi (Re tau mod 1) = k pi/2 + s with |s| <= pi/4, from _exp_squared at
+    With y = Im tau, -t = -n ln 2 + r, 0 <= r < ln 2 (_exp_ln2), and
+    m = e^r (cos theta + i sin theta), theta = 2 pi (Re tau mod 1) (_cos_sin), at
     w = bits + g, 2^g >= 512 (floor(y) + 1).  At w, y is floored from isqrt, pi and
-    ln 2 are within one unit, t within 2y + 8 units, n ln 2 - t within 11.1y + 10,
-    its exponential (below 2) within 22.2y + 21, theta within 3, s within 7, and
-    cos s and sin s within 8: each part of m is within 22.2y + 39 < 2^(g - 3)
+    ln 2 are within one unit, t within 2y + 8 units, r within 11.1y + 10, e^r
+    (below 2) within 22.2y + 21, theta within 3, and with its quadrant k <= 4,
+    cos theta and sin theta within 8: each part of m is within 22.2y + 39 < 2^(g - 3)
     units, under 0.18 units of 2^-bits in modulus, and m is within one unit once
     rounded to bits; so is t.
     """
@@ -683,19 +682,11 @@ def _q_at(tau: CMPoint, bits: int) -> _Q:
     w = bits + g
     pi_w = _near(_pi, w)
     t = 2 * pi_w * isqrt((y2.numerator << 2 * w) // y2.denominator) >> w
-    ln2 = _near(_ln2, w)
-    n = -(-t // ln2)
-    e = _exp_squared(n * ln2 - t, w, False)
+    e, n = _exp_ln2(-t, _near(_ln2, w), 0, w)
     turn = x - floor(x)
-    quarter = pi_w >> 1
-    k, s = divmod(2 * pi_w * turn.numerator // turn.denominator + (quarter >> 1), quarter)
-    s -= quarter >> 1
-    cos_s, sin_s = _exp_squared(abs(s), w, True)
-    if s < 0:
-        sin_s = -sin_s
-    cos_t, sin_t = ((cos_s, sin_s), (-sin_s, cos_s), (-cos_s, -sin_s), (sin_s, -cos_s))[k & 3]
+    cos_t, sin_t = _cos_sin(2 * pi_w * turn.numerator // turn.denominator, pi_w, 0, w)
     m = (_round_shift(e * cos_t, w + g), _round_shift(e * sin_t, w + g), 1)
-    return _Q(m, n, (_round_shift(t, g), 0, 1))
+    return _Q(m, -n, (_round_shift(t, g), 0, 1))
 
 
 def _ln_tail_bound(m: int, ln_x: float) -> float:
@@ -818,6 +809,30 @@ def _g_and_dg(tau, order: int | None, prec: int):
     return g, dg, q, bits
 
 
+def _j_at(tau, prec: int, order: int | None = None) -> CMValue:
+    """Klein's j at tau, a CMValue whose rad bounds its error.
+
+    j = (256 f + 1)^3 / f = 1/f + 768 + 196608 f + 16777216 f^2 with
+    f = Delta(2 tau)/Delta(tau) = q r^24, r = S(q^2)/S(q) and S = prod (1 - q^n),
+    the pentagonal sum T_0 to 2^-prec (_cm_sums).  With q = m 2^-n,
+    f = F 2^-n for F = m r^24, and j = 2^n (1/F + 2^-n (768 + 196608 F 2^-n +
+    16777216 F^2 2^-2n)), so j keeps its relative precision however small |q|
+    is.  r^24 is ((r^3)^2)^2)^2, and every step is a ball (_mul, _div), whose
+    radius holds the error of its operands and its floors.
+    """
+    q, bits, sums = _cm_sums(tau, prec, (1, 2), 1, order)
+    r = _div(sums[2][0], sums[1][0], bits)
+    r24 = _mul(_mul(r, r, bits), r, bits)
+    for _ in range(3):
+        r24 = _mul(r24, r24, bits)
+    f = _mul(q.m, r24, bits)
+    small = _add(_shift(_add((0, 0, 0), f, 196608), q.n),
+                 _shift(_mul(f, f, bits), 2 * q.n), 16777216)
+    small = _add(small, (768 << bits, 0, 0))
+    j = _add(_div((1 << bits, 0, 0), f, bits), _shift(small, q.n))
+    return _cm_value(j, q.n - bits)
+
+
 def eval_P_complex(tau, order: int | None = None, precision_digits: int = 40) -> CMValue:
     """The weight-0 completion -DG(tau) - G(tau)/(2 pi Im tau), DG = q dG/dq, a
     CMValue whose rad bounds its error (_g_and_dg's balls); the sums run to
@@ -834,9 +849,10 @@ def enumerate_QD(n: int):
 
     Each SL2(Z) class, imprimitive ones included, holds exactly one Gamma0(6)
     class of forms [a, b, c] with 6 | a and b = 1 mod 12 (Gross-Kohnen-Zagier,
-    Math. Ann. 1987, I.1).  Walking a = 6, 12, 18, ... and b = 1 mod 12 in
-    [0, 2a), the first form met in each class is kept, so every
-    representative has the least a (then b) in its class; the walk stops
+    Math. Ann. 1987, I.1).  Walking a = 6, 12, 18, ... and, for each, the b in
+    [0, 2a) with b = 1 mod 12 among the square roots of D mod 4a
+    (arith.sqrt_mod, increasing), the first form met in each class is kept, so
+    every representative has the least a (then b) in its class; the walk stops
     once every reduced class is covered, which the bijection guarantees.
     The list therefore has h(1 - 24n) entries (imprimitive classes counted)
     and is pairwise inequivalent.
@@ -849,8 +865,10 @@ def enumerate_QD(n: int):
     a = 0
     while uncovered:
         a += 6
-        for b in range(1, 2 * a, 12):
-            if (b * b - D) % (4 * a):
+        for b in sqrt_mod(D, 4 * a):
+            if b >= 2 * a:
+                break
+            if b % 12 != 1:
                 continue
             f = Form(a, b, (b * b - D) // (4 * a))
             cls = reduce(f)

@@ -274,6 +274,29 @@ def level_rep_by_window_search(f, search_limit: int = 48):
     raise ArithmeticError(f"no level-6 representative found for {f} within {search_limit}")
 
 
+def level_reps_by_b_walk(n: int):
+    """enumerate_QD(n) by the walk it used before its square roots: for
+    a = 6, 12, 18, ... every b = 1 mod 12 in [0, 2a) is tested for
+    b^2 = D (mod 4a), and the first form met in each class is kept."""
+    from classforms.quadforms import enumerate_reduced, reduce
+
+    D = 1 - 24 * n
+    uncovered = set(enumerate_reduced(D, primitive_only=False))
+    reps = []
+    a = 0
+    while uncovered:
+        a += 6
+        for b in range(1, 2 * a, 12):
+            if (b * b - D) % (4 * a):
+                continue
+            f = Form(a, b, (b * b - D) // (4 * a))
+            cls = reduce(f)
+            if cls in uncovered:
+                uncovered.remove(cls)
+                reps.append(f)
+    return reps
+
+
 def gamma0_equivalent(f, g, level: int = 6, bound: int = 50) -> bool:
     """Bounded search for a level-`level` matrix taking f to g.
 

@@ -9,6 +9,7 @@ import pytest
 
 from classforms import attractor as at
 from classforms import quadforms as qf
+from classforms import rademacher as rd
 from classforms.attractor import Matrix2x2
 from classforms.quadforms import Form
 
@@ -240,7 +241,7 @@ def test_j_matches_the_dense_oracle_at_every_root():
         coeffs = j_coefficients(order)
         with mp.workdps(digits):
             for tau in taus:
-                got = value_mpc(at._j_at(tau, mp.mp.prec))
+                got = value_mpc(rd._j_at(tau, mp.mp.prec))
                 want = q_expansion_sum(coeffs, tau, -digits)
                 assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want), (D, tau)
 
@@ -262,8 +263,8 @@ def test_hilbert_checks_each_root_tail(monkeypatch):
     # sums capped at q^20 the largest |q| of -479 cannot reach its bound
     from classforms.rademacher import PrecisionError
 
-    inner = at._cm_sums
-    monkeypatch.setattr(at, "_cm_sums",
+    inner = rd._cm_sums
+    monkeypatch.setattr(rd, "_cm_sums",
                         lambda tau, prec, ks, weights, order=None: inner(tau, prec, ks, weights, 20))
     with pytest.raises(PrecisionError, match="truncation order 20 "):
         at.hilbert_class_polynomial(-479)

@@ -112,15 +112,35 @@ def _imports_mpmath(node):
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"
 
 
-def test_no_module_imports_mpmath():
-    # mpmath is a test-only dependency: the oracles in tests/ use it, the
-    # package does not, at module level or inside a function
+# rademacher's error-bounded balls: the format is known in that module alone
+BALL_HELPERS = {"_add", "_mul", "_div", "_shift", "_cm_sums", "_cm_value"}
+
+
+def _imports_ball_helper(node):
+    return (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rademacher"
+            and any(alias.name in BALL_HELPERS for alias in node.names))
+
+
+def _offenders(imports, exempt=()):
+    """module:line of every import, at module level or inside a function, that
+    `imports` flags in a package module outside `exempt`."""
     sources = sorted((ROOT / "src" / "classforms").glob("*.py"))
     assert len(sources) >= 12
-    offenders = [f"{path.name}:{node.lineno}" for path in sources
-                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                 if _imports_mpmath(node)]
-    assert offenders == []
+    return [f"{path.name}:{node.lineno}" for path in sources if path.stem not in exempt
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if imports(node)]
+
+
+def test_no_module_imports_mpmath():
+    # mpmath is a test-only dependency: the oracles in tests/ use it, the
+    # package does not
+    assert _offenders(_imports_mpmath) == []
+
+
+def test_no_module_but_rademacher_imports_a_ball_helper():
+    assert _imports_ball_helper(ast.parse("from .rademacher import PrecisionError, _mul").body[0])
+    assert not _imports_ball_helper(ast.parse("from .rademacher import _j_at").body[0])
+    assert _offenders(_imports_ball_helper, exempt={"rademacher"}) == []
 
 
 # The layers each command runs: its own module and those that module imports

@@ -1,14 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import atan2, ceil, gcd, log, log2, pi, sqrt
+from math import atan2, ceil, floor, gcd, log, log2, pi, sqrt
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from classforms import arith
-from classforms import attractor as at
 from classforms import qseries as qs
 from classforms import rademacher as rd
 from classforms.quadforms import Form, class_number, enumerate_reduced, reduce as reduce_form
@@ -16,8 +15,9 @@ from classforms.rademacher import PrecisionError, RademacherParams
 
 from conftest import (P_by_horner, auto_order, bessel_by_ascending_series, dyadic_mpf,
                       g2_coefficients, gamma0_equivalent, j_coefficients,
-                      kloosterman_by_exponentials, level_rep_by_window_search, q_expansion_sum,
-                      q_expansion_sums_by_mpc, tau_mpc, value_mpc)
+                      kloosterman_by_exponentials, level_rep_by_window_search,
+                      level_reps_by_b_walk, q_expansion_sum, q_expansion_sums_by_mpc, tau_mpc,
+                      value_mpc)
 
 
 def _kloosterman(m, n, c, digits=30):
@@ -134,6 +134,110 @@ def test_kloosterman_twisted_multiplicativity():
                 parts = (_kloosterman(m * pow(c2, -2, c1), n, c1)
                          * _kloosterman(m * pow(c1, -2, c2), n, c2))
                 assert whole == pytest.approx(parts, abs=1e-9), (m, n, c1, c2)
+
+
+# --- the fixed-point exponential and its two range reductions ------------------
+
+
+def _units_off(got, want, bits):
+    """|got - want 2^bits| for an integer got at scale 2^-bits and an mpf want."""
+    return abs(mp.mpf(got) - mp.ldexp(want, bits))
+
+
+def _quadrant(a, pi_a):
+    """The k of _cos_sin's a = k pi/2 + s, |s| <= pi/4, with pi at a's scale."""
+    quarter = pi_a >> 1
+    return (a + (quarter >> 1)) // quarter
+
+
+@st.composite
+def _scaled_unit_interval(draw):
+    bits = draw(st.integers(20, 20000))
+    return bits, draw(st.integers(0, 1 << bits))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point=_scaled_unit_interval(), imaginary=st.booleans())
+@example(point=(20, 0), imaginary=False)
+@example(point=(20, 1 << 20), imaginary=True)
+@example(point=(20000, 0), imaginary=True)
+@example(point=(20000, 1 << 20000), imaginary=False)
+@example(point=(2000, 1 << 1000), imaginary=True)
+def test_exp_within_one_unit(point, imaginary):
+    # e^t and (cos t, sin t) at t in [0, 1], 20 to 20000 bits; t < 2^-h needs
+    # no squaring
+    bits, t = point
+    got = rd._exp(t, bits, imaginary)
+    with mp.workprec(bits + 64):
+        x = dyadic_mpf(t, bits)
+        pairs = zip(got, (mp.cos(x), mp.sin(x))) if imaginary else [(got, mp.exp(x))]
+        for part, want in pairs:
+            assert _units_off(part, want, bits) <= 1, (bits, t)
+
+
+def _check_cos_sin(a, bits, extra, angle_error=0):
+    # (cos a, sin a) within (E + |k|) 2^-extra + 1 units, one more when extra > 0
+    pi_a = rd._pi(bits + extra)
+    k = _quadrant(a, pi_a)
+    bound = (angle_error + abs(k)) / 2**extra + 1 + (extra > 0)
+    got = rd._cos_sin(a, pi_a, extra, bits)
+    with mp.workprec(bits + extra + 64):
+        x = dyadic_mpf(a, bits + extra)
+        for part, want in zip(got, (mp.cos(x), mp.sin(x))):
+            assert _units_off(part, want, bits) <= bound, (a, bits, extra)
+    return k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bits=st.integers(20, 20000), extra=st.sampled_from((0, 4, 24)),
+       k=st.integers(-8, 8), within=st.fractions(-0.5, 0.5))
+def test_cos_sin_within_its_stated_bound(bits, extra, k, within):
+    quarter = rd._pi(bits + extra) >> 1
+    a = k * quarter + floor(within * quarter)
+    _check_cos_sin(a, bits, extra)
+
+
+def test_cos_sin_at_the_quadrant_boundaries():
+    # either side of s = +-pi/4 in every quadrant, where k changes; at
+    # 20000 bits only at +-pi/4 themselves
+    for bits in (20, 200, 2000, 20000):
+        for extra in (0, 4):
+            quarter = rd._pi(bits + extra) >> 1
+            for k in range(-4, 8) if bits < 20000 else (-1, 0):
+                edge = (k + 1) * quarter - (quarter >> 1)  # the least a in quadrant k + 1
+                assert {_check_cos_sin(a, bits, extra) for a in (edge - 1, edge)} == {k, k + 1}
+
+
+def test_cos_sin_of_a_turn_over_c():
+    # 2 pi/c as _modulus forms it, within 3 units, for c = 1..400; and
+    # _modulus's rounded cos(2 pi/c) within the 1/2 + 6/16 units it states
+    for bits in (20, 113, 2000, 20000):
+        pi_t = rd._pi(bits)
+        for c in range(1, 401):
+            if bits < 20000 or c % 37 == 1:
+                _check_cos_sin(2 * pi_t // c, bits, 0, angle_error=3)
+    for digits in (15, 30):
+        for c in range(2, 401):
+            modulus = rd._modulus(c, digits)
+            with mp.workprec(modulus[-1] + 64):
+                want = mp.cos(2 * mp.pi / c)
+                assert _units_off(modulus[3][1], want, modulus[-1]) <= 0.5 + 6 / 16, (c, digits)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bits=st.integers(20, 20000), extra=st.sampled_from((0, 4, 24)),
+       y=st.fractions(-50, 50))
+@example(bits=20, extra=0, y=Fraction(0))
+@example(bits=20000, extra=4, y=Fraction(-1))
+def test_exp_ln2_within_its_stated_bound(bits, extra, y):
+    # y = n ln 2 + r, and e^r within 2 |n| 2^-extra + 1 units, two more when extra > 0
+    scaled = floor(y * 2 ** (bits + extra))
+    m, n = rd._exp_ln2(scaled, rd._ln2(bits + extra), extra, bits)
+    bound = 2 * abs(n) / 2**extra + 1 + 2 * (extra > 0)
+    with mp.workprec(bits + extra + 64):
+        want = mp.exp(dyadic_mpf(scaled, bits + extra) - n * mp.ln2)
+        assert 1 - 2**-8 < want < 2 + 2**-8
+        assert _units_off(m, want, bits) <= bound, (bits, extra, y)
 
 
 # --- Bessel kernels -----------------------------------------------------------
@@ -643,7 +747,7 @@ def test_cm_kernel_within_its_stated_bounds(point, digits):
 
     # j is SL2(Z)-invariant: at a level-6 point the oracle sums at the
     # reduced form's root, where |q| < 0.005
-    j = at._j_at(tau, prec)
+    j = rd._j_at(tau, prec)
     reduced = tau if form is None else rd.cm_root(reduce_form(form))
     ln_r = -2 * pi * complex(reduced).imag
     coeffs = j_coefficients(auto_order(ln_r, -wide, 1))
@@ -749,6 +853,13 @@ def test_enumerate_QD_matches_window_search_oracle():
         oracle = sorted(level_rep_by_window_search(f)
                         for f in enumerate_reduced(D, primitive_only=False))
         assert rd.enumerate_QD(n) == oracle, n
+
+
+def test_enumerate_QD_matches_the_walk_over_b():
+    # the square roots of D mod 4a visit the (a, b) the walk over every
+    # b = 1 mod 12 visits, in the same order, so the lists are equal
+    for n in [*range(1, 301), 1000, 2000]:
+        assert rd.enumerate_QD(n) == level_reps_by_b_walk(n), n
 
 
 def test_QD_forms_satisfy_congruences_and_root_equation():
