@@ -1,20 +1,20 @@
 """Small integer helpers shared across modules, by trial division and Euclid.
 
 Every prime, divisor and square-free question about a single value goes
-through factorization(), the one trial-division loop in the package.  Bulk
-scans read the smallest-prime-factor sieve in tables instead; the numpy-free
-commands factor their few small moduli with smallest_prime_factors(), a list
-sieve.  sqrt_mod() lists the square roots of n modulo m (Cohen, GTM 138,
-section 1.5): per prime power an Euler-criterion test, Tonelli-Shanks and
-Hensel lifting for units, bit by bit at p = 2, the p-adic valuation split
-where p | n, then the Chinese remainder theorem; rademacher takes its
-level-6 Heegner points from it, and quadforms its reduced forms from the
-prime-power parts.  pentagonal() gives the exponents of prod (1 - q^n) to
-qseries and rademacher alike.
+through factorization(), the one trial-division loop in the package: it
+takes out the factors of 2 by bit operations, then tries odd divisors only.
+quadforms reads each odd part's least prime power from it, and rademacher
+each modulus's primes.  Bulk scans read tables.spf_table, the package's one
+prime sieve, instead.  sqrt_mod() lists the square roots of n modulo m
+(Cohen, GTM 138, section 1.5): per prime power an Euler-criterion test,
+Tonelli-Shanks and Hensel lifting for units, bit by bit at p = 2, the p-adic
+valuation split where p | n, then the Chinese remainder theorem; rademacher
+takes its level-6 Heegner points from it, and quadforms its reduced forms
+from the prime-power parts.  pentagonal() gives the exponents of
+prod (1 - q^n) to qseries and rademacher alike.
 """
 
 from itertools import count
-from math import isqrt
 
 
 def xgcd(a: int, b: int):
@@ -37,7 +37,11 @@ def factorization(n: int):
     if n < 1:
         raise ValueError("factorization needs a positive integer")
     out = []
-    d = 2
+    k = (n & -n).bit_length() - 1
+    if k:
+        out.append((2, k))
+        n >>= k
+    d = 3
     while d * d <= n:
         if n % d == 0:
             e = 0
@@ -45,7 +49,7 @@ def factorization(n: int):
                 n //= d
                 e += 1
             out.append((d, e))
-        d += 1
+        d += 2
     if n > 1:
         out.append((n, 1))
     return out
@@ -90,18 +94,6 @@ def pentagonal():
         sign = -1 if j % 2 else 1
         yield j * (3 * j - 1) // 2, sign
         yield j * (3 * j + 1) // 2, sign
-
-
-def smallest_prime_factors(n: int):
-    """spf[k] = smallest prime factor of k for 2 <= k <= n, as a list (spf[0], spf[1] = 0, 1).
-
-    Every k gets k, then each p <= sqrt(n) from the largest down writes p over
-    its multiples from p^2 on, so the smallest prime factor writes last.
-    """
-    spf = list(range(n + 1))
-    for p in range(isqrt(n), 1, -1):
-        spf[p * p::p] = [p] * ((n - p * p) // p + 1)
-    return spf
 
 
 def sqrt_mod_prime_power(n: int, p: int, e: int):

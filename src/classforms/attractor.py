@@ -16,7 +16,6 @@ from math import ceil, hypot, log, log10, pi
 from typing import NamedTuple
 
 from .quadforms import Form, as_form, enumerate_reduced, is_fundamental
-from .rademacher import PrecisionError, _j_at, _prec_of_digits, _round_shift, cm_root
 
 
 class ChargeInvariants(NamedTuple):
@@ -242,6 +241,8 @@ _EXTRA_DIGITS = 10
 
 def _at_scale(x: Fraction, bits: int) -> int:
     """x 2^bits rounded to an integer, for a dyadic Fraction x."""
+    from .rademacher import _round_shift
+
     return _round_shift(x.numerator << bits, x.denominator.bit_length() - 1)
 
 
@@ -267,6 +268,8 @@ def hilbert_class_polynomial(D: int):
     root's rad over (1 + |r|) 2^-s plus 1/2 for the rounding, is a few units
     (at most 6 at D = -20011).
     """
+    from .rademacher import PrecisionError, _j_at, _prec_of_digits, _round_shift, cm_root
+
     if not is_fundamental(D):
         raise ValueError("class polynomials are computed for fundamental discriminants")
     forms = enumerate_reduced(D)

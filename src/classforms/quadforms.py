@@ -5,7 +5,9 @@ This module covers reduction, enumeration of reduced representatives, class
 numbers, and the two square-divisor class-number sums: the unweighted one
 used for curve counts walks the square divisors, and the stabilizer-weighted
 one (weights 1/2 and 1/3 at discriminants -4 and -3) is read off it.
-Everything here is a pure function on values.
+Everything here is a pure function on values, on arith's integer helpers:
+the reduced forms come from square roots mod prime powers joined by CRT,
+and each prime power from arith.factorization, with no sieve of its own.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import (crt_roots, divisors_from_factorization, factorization, is_squarefree,
-                    smallest_prime_factors, sqrt_mod_prime_power)
+                    sqrt_mod_prime_power)
 
 
 class Form(NamedTuple):
@@ -135,17 +137,16 @@ def enumerate_reduced(D: int, primitive_only: bool = True):
     (-a, a] (Cohen, GTM 138, section 5.3).  With a = 2^k m, m odd, they are
     the Chinese-remainder combinations of the roots of D mod 2^(k+2) below
     2^(k+1) and the roots of D mod m; the roots mod each odd m are built
-    once, from those of m / p^e and p^e with p the smallest prime factor of
-    m.  a rises and each a's b are sorted, and (a, b) fix c, so the list
-    comes out sorted.  By default only primitive forms are listed (their
-    count is the class number h(D)); with primitive_only=False imprimitive
-    forms are included as well, which is the population the weighted
-    class-number sum counts.
+    once, from those of m / p^e and p^e, with p^e the first prime power
+    arith.factorization lists for m.  a rises and each a's b are sorted,
+    and (a, b) fix c, so the list comes out sorted.  By default only
+    primitive forms are listed (their count is the class number h(D)); with
+    primitive_only=False imprimitive forms are included as well, which is
+    the population the weighted class-number sum counts.
     """
     _check_disc(D)
     forms = []
     amax = isqrt(-D // 3)
-    spf = smallest_prime_factors(amax)
     # two[k]: the roots of D mod 2^(k+2) below 2^(k+1), for every 2^k <= amax
     two = [[x for x in sqrt_mod_prime_power(D, 2, k + 2) if x < 2 << k]
            for k in range(amax.bit_length())]
@@ -154,11 +155,8 @@ def enumerate_reduced(D: int, primitive_only: bool = True):
         k = (a & -a).bit_length() - 1
         m = a >> k
         if not k and m > 1:
-            p = q = spf[m]
-            e = 1
-            while m // q % p == 0:
-                q *= p
-                e += 1
+            (p, e), *_ = factorization(m)
+            q = p**e
             rest = m // q
             if rest == 1:
                 odd[m] = sqrt_mod_prime_power(D, p, e)

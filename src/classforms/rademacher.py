@@ -59,7 +59,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .arith import pentagonal, prime_divisors, sqrt_mod
-from .quadforms import Form, enumerate_reduced, reduce
 
 _LN2 = log(2.0)
 _LOG2E = 1 / _LN2
@@ -590,7 +589,7 @@ def _point(tau) -> CMPoint:
     return CMPoint(Fraction(tau.real), Fraction(tau.imag) ** 2)
 
 
-def cm_root(f: Form) -> CMPoint:
+def cm_root(f) -> CMPoint:
     """Upper-half-plane root of a tau^2 + b tau + c = 0, -b/2a + i sqrt(|D|)/2a, exactly."""
     a, b, _ = f
     return CMPoint(Fraction(-b, 2 * a), Fraction(-f.discriminant(), 4 * a * a))
@@ -857,6 +856,8 @@ def enumerate_QD(n: int):
     The list therefore has h(1 - 24n) entries (imprimitive classes counted)
     and is pairwise inequivalent.
     """
+    from .quadforms import Form, enumerate_reduced, reduce
+
     if n < 1:
         raise ValueError("n must be positive")
     D = 1 - 24 * n

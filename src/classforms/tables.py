@@ -15,9 +15,9 @@ Array indices are |D| (so index 84 holds data for D = -84).  Entries at
 indices with |D| % 4 not in {0, 3} are zero.
 
 The arithmetic tables (Mobius, omega, square-freeness, smallest prime
-factor) all read their primes from spf_table, the one numpy prime sieve;
-single values are answered by arith.factorization instead, and the small
-moduli of the numpy-free form enumeration by arith.smallest_prime_factors.
+factor) all read their primes from spf_table, the package's one prime
+sieve; single values, the moduli of the numpy-free form enumeration among
+them, are answered by arith.factorization instead.
 
 numpy is imported inside each function that uses it, not at module level.
 Every command is a fresh process, and classgroup imports this module, so a

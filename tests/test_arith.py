@@ -26,9 +26,6 @@ def test_helpers_match_brute_force():
         assert arith.prime_divisors(n) == [d for d in divs if arith.is_prime(d)], n
         assert arith.is_squarefree(n) == all(n % (d * d) for d in divs[1:]), n
         assert sorted(arith.divisors_from_factorization(arith.factorization(n))) == divs, n
-    spf = arith.smallest_prime_factors(2000)
-    assert spf[:2] == [0, 1]
-    assert all(spf[n] == arith.factorization(n)[0][0] for n in range(2, 2001))
     assert not any(arith.is_prime(n) for n in (-7, -1, 0, 1))
 
 

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from classforms import attractor as at
+from classforms import cli
 from classforms import quadforms as qf
 from classforms import rademacher as rd
 from classforms.attractor import Matrix2x2
@@ -214,7 +215,7 @@ def _dense_route(D):
     digits = 15 + math.ceil(sum(pi * sqrt(-D) / (f.a * math.log(10)) for f in forms)
                             + len(forms) * math.log10(2)) + at._EXTRA_DIGITS
     order = auto_order(-pi * sqrt(-D) / forms[-1].a, -digits, 1)
-    return digits, order, [at.cm_root(f) for f in forms]
+    return digits, order, [rd.cm_root(f) for f in forms]
 
 
 def test_horner_sum_matches_mpc_oracle_at_hilbert_roots():
@@ -256,6 +257,18 @@ def test_hilbert_linear_for_class_number_one():
 def test_hilbert_rejects_non_fundamental():
     with pytest.raises(ValueError):
         at.hilbert_class_polynomial(-12)
+
+
+def test_hilbert_refuses_a_rounding_residual_with_exit_3(monkeypatch, capsys):
+    # at 159 digits, 40 below the budget, every root still passes its own
+    # tail check, but the expanded coefficients round no closer than 0.37 to
+    # integers: the command reports the residual and prints no polynomial
+    monkeypatch.setattr(at, "_EXTRA_DIGITS", -30)
+    assert cli.main(["bh", "hilbert", "-479"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precision exhausted: class polynomial rounding residual ")
+    assert captured.err.endswith(" at 159 digits\n")
 
 
 def test_hilbert_checks_each_root_tail(monkeypatch):

@@ -115,6 +115,21 @@ def test_element_order_examples():
     assert cg.element_order((11, -1, 75)) == 3
 
 
+def test_power_is_repeated_composition():
+    # f^k by square-and-multiply against k - 1 compositions with f, from the
+    # identity at k = 0 through f^h, which is principal
+    for D in (-84, -3299, -4 * 1093):
+        forms = qf.enumerate_reduced(D)
+        h, e = len(forms), qf.reduce(cg.identity(D))
+        for f in forms:
+            want = e
+            for k in range(2 * h + 2):
+                assert cg.power(f, k) == want, (D, f, k)
+                want = cg.compose(want, f)
+            assert cg.power(f, h) == e, (D, f)
+    assert cg.power((2, 2, 11), 0) == Form(1, 0, 21)
+
+
 def test_lagrange_up_to_5000():
     for D in fundamental_discs(5000):
         h = qf.class_number(D)

@@ -143,18 +143,23 @@ def test_no_module_but_rademacher_imports_a_ball_helper():
     assert _offenders(_imports_ball_helper, exempt={"rademacher"}) == []
 
 
-# The layers each command runs: its own module and those that module imports
-# names from.  The rest stay registered but unexecuted on the package.
+# The layers each command runs: its own module, those that module imports
+# names from at module level, and those whose functions it calls.  The rest
+# stay registered but unexecuted on the package.
 OWN_LAYERS = [
     (["trace", "--weight", "12", "--n", "30"], ["arith", "qseries", "quadforms"]),
     (["series", "delta", "--order", "60"], ["arith", "qseries"]),
     (["ecc", "verify", "--q", "11"], ["arith", "eccensus", "quadforms"]),
+    (["ecc", "torsion", "--q", "13", "--n", "3"], ["arith", "eccensus", "quadforms"]),
     (["classgroup", "-84"], ["arith", "classgroup", "quadforms"]),
-    (["bh", "tau", "1", "1", "6"], ["arith", "attractor", "quadforms", "rademacher"]),
+    (["bh", "tau", "1", "1", "6"], ["arith", "attractor", "quadforms"]),
+    (["bh", "classify", "-20"], ["arith", "attractor", "quadforms"]),
     (["bh", "hilbert", "-479"], ["arith", "attractor", "quadforms", "rademacher"]),
     (["singular-trace", "--n", "3"], ["arith", "qseries", "quadforms", "rademacher"]),
-    (["rademacher", "tau", "--n", "3", "--cmax", "20"],
-     ["arith", "qseries", "quadforms", "rademacher"]),
+    (["rademacher", "tau", "--n", "3", "--cmax", "20"], ["arith", "qseries", "rademacher"]),
+    (["rademacher", "rd", "--d", "1", "--n", "2", "--cmax", "20"], ["arith", "rademacher"]),
+    (["rademacher", "invdelta", "--n", "2", "--cmax", "20"], ["arith", "qseries", "rademacher"]),
+    (["cft", "zk", "--k", "1", "--cmax", "20"], ["arith", "cftx", "qseries", "rademacher"]),
     (["stats", "ng", "--g", "3", "--x", "100"], ["arith", "classgroup", "quadforms", "tables"]),
     (["cft", "polar", "--mmax", "50"], ["arith", "cftx", "tables"]),
 ]

@@ -371,6 +371,16 @@ def test_power_starts_from_the_first_power_it_needs(monkeypatch):
     assert_same_series(s**0, qs.QSeries(0, [1] + [0] * 7, 8))
 
 
+def test_negative_power_is_the_power_of_the_inverse():
+    # s**-k is (1/s)^k: the recurrence inverse, multiplied out term by term
+    s = qs.QSeries(-1, [-1, -3, 5, 0, 7, 2, -1, 4], 7)
+    inv = recurrence_inverse(s)
+    want = inv
+    for k in range(1, 5):
+        assert_same_series(s**-k, want)
+        want = schoolbook_product(want, inv)
+
+
 def test_g2_coefficients_at_benchmark_order():
     # SHA-256 of the 3201 coefficients of 2G to order 3200, as decimal strings
     # joined by commas, recorded from the schoolbook product and recurrence

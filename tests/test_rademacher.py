@@ -939,6 +939,30 @@ def test_cm_evaluators_default_to_their_own_tail_bound():
     assert _G(tau) == _G(tau, order=10**6)
 
 
+def test_division_refuses_a_ball_that_may_hold_zero():
+    # b = 3 at scale 2^-10 stays off 0 within any radius below 3 * 2^10
+    # units, and may hold 0 from there on; so may 3i and 0 itself
+    three = 3 << 10
+    assert rd._div((6 << 10, 0, 0), (three, 0, three - 1), 10)[:2] == (2 << 10, 0)
+    for b in ((three, 0, three), (0, -three, three + 1), (0, 0, 1)):
+        with pytest.raises(PrecisionError, match="within its error of 0 at 10 bits"):
+            rd._div((6 << 10, 0, 0), b, 10)
+
+
+def test_trace_refuses_an_imaginary_residual(monkeypatch):
+    # the points' P come in conjugate pairs, so their exact sum is real; each
+    # value moved by i/1000 leaves 3/1000 at n = 1, past 1e-8 of the trace 23
+    inner = rd.eval_P_complex
+
+    def shifted(tau, order=None, precision_digits=40):
+        value = inner(tau, order, precision_digits)
+        return value._replace(imag=value.imag + Fraction(1, 1000))
+
+    monkeypatch.setattr(rd, "eval_P_complex", shifted)
+    with pytest.raises(PrecisionError, match="trace has imaginary residual 0.003"):
+        rd.trace_singular_moduli(1)
+
+
 def test_trace_singular_moduli_small_n():
     p = qs.partition_numbers(5)
     for n in (1, 2, 3, 4, 5):
