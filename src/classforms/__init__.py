@@ -18,6 +18,12 @@ import importlib.util
 import sys
 
 
+# defined here, where every process runs it, so the CLI classifies an error
+# without running a layer; rademacher and attractor raise it
+class PrecisionError(ArithmeticError):
+    """Requested tolerance cannot be met; carries the achieved residual."""
+
+
 def _lazy(name):
     # Python 3.11's LazyLoader is not thread-safe: a thread that touches a layer
     # while another is still running it may read a half-run module.  The CLI
@@ -48,5 +54,5 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = ["Form", "as_form"]
+__all__ = ["Form", "PrecisionError", "as_form"]
 __version__ = "0.1.0"

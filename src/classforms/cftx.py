@@ -66,8 +66,7 @@ def extremal_partition_function(k: int, order: int = 10) -> qseries.QSeries:
     return acc
 
 
-def verify_zk_identity(k: int, cmax: int = 200, order: int = 6,
-                       precision_digits: int = 30):
+def verify_zk_identity(k: int, cmax: int = 200, order: int = 6):
     """Residuals of the trace/Rademacher expression against the exact Z_k.
 
     The coefficient of q^n (n >= 1) on the expansion side is
@@ -83,7 +82,7 @@ def verify_zk_identity(k: int, cmax: int = 200, order: int = 6,
         raise ValueError("identity verification is desk-scale: k between 1 and 4")
     if order < 2:
         raise ValueError("order must be at least 2: the identity is checked from q^1 on")
-    params = RademacherParams(cmax=cmax, precision_digits=precision_digits)
+    params = RademacherParams(cmax=cmax)
     zk = extremal_partition_function(k, order)
     nmax = min(5, order - 1)
     # every r_{d,n} of the identity from one pass over c (rd_partials' sum, batched)
@@ -252,16 +251,13 @@ def polar_counts(mmax: int) -> list:
     return counts
 
 
-def figure_data(mmax: int) -> np.ndarray:
+def figure_data(mmax: int) -> list:
     """normalized_excess(m, P(m)) for m = 1..mmax.
 
     P comes from polar_counts, the same cross-checked scan the table reads,
     so the scatter, histogram and CDF emitters are checked like the table.
     """
-    import numpy as np
-
-    return np.array([normalized_excess(m, P) for m, P in enumerate(polar_counts(mmax), 1)],
-                    dtype=float)
+    return [normalized_excess(m, P) for m, P in enumerate(polar_counts(mmax), 1)]
 
 
 def histogram(values: np.ndarray):

@@ -4,11 +4,15 @@ Each handler takes the parsed arguments alone and returns (parameters,
 results, provenance), plus an exit code where it has a verdict of its own;
 the CSV emitters write their rows and return None.  `main` names the command
 by its subcommand path as invoked and writes the one JSON envelope to stdout;
-progress goes to stderr.  Output is deterministic: floats are fixed at 12
-significant digits, keys are sorted, and the wall-time field stays null
-unless --timing is passed.  Exit codes: 0 on success, 1 when a verification
-finds a failing comparison, 2 for usage errors, 3 when a computation exhausts
-its precision or truncation budget (PrecisionError; stderr gives the residual).
+progress goes to stderr.  Output is deterministic: in the envelope, floats
+are fixed at 12 significant digits, complex numbers become {"re", "im"}, and
+keys are sorted; the wall-time field stays null unless --timing is passed.
+Each CSV table states one %-template for its rows, with floats as %.12g.
+Exit codes: 0 on success, 1 when a verification finds a failing comparison,
+2 for usage errors, 3 when a computation exhausts its precision or
+truncation budget (classforms.PrecisionError; stderr gives the residual).
+Importing this module runs no layer module and loads neither numpy nor
+fractions, and no exit path runs a layer to classify its error.
 """
 
 import argparse
@@ -16,7 +20,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from math import isqrt
 
 # The package registers every layer module lazily (classforms/__init__.py), so
@@ -24,25 +27,19 @@ from math import isqrt
 # run on the first attribute a handler reads from it, and a command pays only
 # for the layers it calls.  The modules load numpy only inside the functions
 # that use it.
-from . import attractor, cftx, classgroup, eccensus, qseries, quadforms, rademacher
+from . import PrecisionError, attractor, cftx, classgroup, eccensus, qseries, quadforms, rademacher
 
 
 def _fmt(x):
     """Normalize a value for deterministic JSON emission."""
-    if isinstance(x, bool) or x is None:
-        return x
     if isinstance(x, float):
         return float(f"{x:.12g}")
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, complex):
         return {"re": _fmt(x.real), "im": _fmt(x.imag)}
     if isinstance(x, dict):
         return {str(k): _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
-    if hasattr(x, "__int__") and not isinstance(x, int):
-        return int(x)
     return x
 
 
@@ -59,25 +56,12 @@ def _emit(args, command, parameters, results, provenance, t0):
     sys.stdout.write(text + "\n")
 
 
-def _emit_csv(header, rows, comment=None):
-    """Write header and rows as CSV: floats (numpy's included) as %.12g, other cells by str."""
+def _emit_csv(header, row, rows, comment=None):
+    """Write the header, then `row % r` for each row r: one %-template per table."""
     if comment:
         sys.stdout.write(f"# {comment}\n")
     sys.stdout.write(header + "\n")
-    sys.stdout.writelines(_csv_lines(rows))
-
-
-def _csv_lines(rows):
-    """One line per row, from one %-template per sequence of cell types."""
-    templates = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            cells = ("%.12g" if issubclass(t, float) else "%s" for t in types)
-            template = templates[types] = ",".join(cells) + "\n"
-        yield template % row
+    sys.stdout.writelines(row % r for r in rows)
 
 
 def _disc(args) -> int:
@@ -256,12 +240,13 @@ def _cmd_cft_polar(args):
     values = cftx.figure_data(mmax)
     print(f"scanned {mmax} indices", file=sys.stderr)
     if args.emit == "figure-data":
-        _emit_csv("m,normalized_excess", [(m + 1, values[m]) for m in range(mmax)])
+        _emit_csv("m,normalized_excess", "%d,%.12g\n", enumerate(values, 1))
     elif args.emit == "histogram":
         width, bins = cftx.histogram(values)
-        _emit_csv("bin_left,bin_right,count", bins, comment=f"bin_width = {width:.12g}")
+        _emit_csv("bin_left,bin_right,count", "%.12g,%.12g,%d\n", bins,
+                  comment=f"bin_width = {width:.12g}")
     else:
-        _emit_csv("value,cumulative_fraction", cftx.empirical_cdf(values))
+        _emit_csv("value,cumulative_fraction", "%.12g,%.12g\n", cftx.empirical_cdf(values))
     return None
 
 
@@ -281,7 +266,8 @@ def _cmd_stats_ng(args):
 def _cmd_stats_h_scan(args):
     rows = classgroup.h_scan(args.N, args.epsilon)
     if args.format == "csv":
-        _emit_csv("D,h,siegel_curve", rows, comment=f"epsilon = {args.epsilon:.12g}")
+        _emit_csv("D,h,siegel_curve", "%d,%d,%.12g\n", rows,
+                  comment=f"epsilon = {args.epsilon:.12g}")
         return None
     return ({"N": args.N, "epsilon": args.epsilon},
             [{"D": d, "h": hh, "siegel_curve": s} for d, hh, s in rows],
@@ -407,7 +393,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except rademacher.PrecisionError as exc:
+    except PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, AssertionError) as exc:

@@ -49,6 +49,9 @@ bound; the ball format stays inside this module.
 Kloosterman sums (_kloosterman_at), Bessel values (_bessel_fixed), G
 (_g_and_dg) and j (_j_at) have no public wrappers: the tests hold these
 kernels to their oracles.  No function here imports mpmath or numpy.
+PrecisionError is defined on the package (classforms/__init__.py), so the
+CLI catches it without running this module; it is imported here under the
+same name.
 """
 
 from fractions import Fraction
@@ -58,6 +61,7 @@ from math import ceil, exp, expm1, factorial, floor, isqrt, lgamma, log, log1p, 
 from operator import mul
 from typing import NamedTuple
 
+from . import PrecisionError
 from .arith import pentagonal, prime_divisors, sqrt_mod
 
 _LN2 = log(2.0)
@@ -66,10 +70,6 @@ _LOG2E = 1 / _LN2
 
 # working-precision floor of the sums and of trace_singular_moduli
 _MIN_DIGITS = 15
-
-
-class PrecisionError(ArithmeticError):
-    """Requested tolerance cannot be met; carries the achieved residual."""
 
 
 class _Truncation(NamedTuple):
@@ -808,7 +808,7 @@ def _g_and_dg(tau, order: int | None, prec: int):
     return g, dg, q, bits
 
 
-def _j_at(tau, prec: int, order: int | None = None) -> CMValue:
+def _j_at(tau, prec: int) -> CMValue:
     """Klein's j at tau, a CMValue whose rad bounds its error.
 
     j = (256 f + 1)^3 / f = 1/f + 768 + 196608 f + 16777216 f^2 with
@@ -819,7 +819,7 @@ def _j_at(tau, prec: int, order: int | None = None) -> CMValue:
     is.  r^24 is ((r^3)^2)^2)^2, and every step is a ball (_mul, _div), whose
     radius holds the error of its operands and its floors.
     """
-    q, bits, sums = _cm_sums(tau, prec, (1, 2), 1, order)
+    q, bits, sums = _cm_sums(tau, prec, (1, 2), 1)
     r = _div(sums[2][0], sums[1][0], bits)
     r24 = _mul(_mul(r, r, bits), r, bits)
     for _ in range(3):

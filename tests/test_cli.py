@@ -4,11 +4,10 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 from conftest import csv_line_by_cells
 
-from classforms import cli
+from classforms import cftx, classgroup, cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "envelope.schema.json"
 
@@ -53,7 +52,7 @@ def test_classgroup_subcommand(capsys):
 
 
 def test_classgroup_enumerates_the_reduced_forms_once(capsys, monkeypatch):
-    from classforms import classgroup, quadforms
+    from classforms import quadforms
 
     calls = []
     enumerate_reduced = quadforms.enumerate_reduced
@@ -181,6 +180,14 @@ def test_leaf_outputs_pinned(capsys, argv, sha256):
     # envelope, so the command names, parameters and provenance are pinned too
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_h_scan_csv_pinned(capsys):
+    # full stdout recorded while the CSV rows took one template per sequence
+    # of cell types, built as the rows arrived
+    assert cli.main(["--format", "csv", "stats", "h-scan", "--N", "10000"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3494cdd19c9dc16262ce21dcf7c33d90ceb6798c6459340b3eddb73d97cac6e6")
 
 
 @pytest.mark.parametrize("argv, sha256", [
@@ -437,8 +444,6 @@ def test_polar_outputs_pinned(capsys, argv, sha256):
 
 
 def test_cft_polar_table_crosscheck_trips_on_bad_value(capsys, monkeypatch):
-    from classforms import cftx
-
     real = cftx.polar_count_sieve
 
     def tampered(mmax):
@@ -643,13 +648,16 @@ def test_float_formatting_is_12_significant_digits(capsys):
 
 
 def test_csv_rows_match_cell_by_cell_formatting(capsys):
-    # every cell type a scan emits, and rows whose types change partway through
-    # the stream, so each new type sequence must get its own template
-    mixed = (1, np.int64(-7), 0.1, np.float64(2.0 / 3.0), True, np.bool_(False),
-             math.inf, -math.inf, math.nan, np.float64(-0.0), 1e-300, np.float32(0.1),
-             2**70, "s")
-    rows = [mixed, (1, 0.5), (np.int64(2), 0.25), (3, np.float64(1e21)), (4, 5),
-            [5, 6.0], (), (6, 0.5), mixed[::-1]]
-    cli._emit_csv("x,y", iter(rows), comment="c = 1")
-    out = capsys.readouterr().out
-    assert out == "# c = 1\nx,y\n" + "".join(csv_line_by_cells(row) for row in rows)
+    # each table's one row template formats the rows its layer function
+    # returns as the cell-by-cell oracle does
+    values = cftx.figure_data(300)
+    for argv, rows in [
+        (["cft", "polar", "--mmax", "300", "--emit", "figure-data"], enumerate(values, 1)),
+        (["cft", "polar", "--mmax", "300", "--emit", "histogram"], cftx.histogram(values)[1]),
+        (["cft", "polar", "--mmax", "300", "--emit", "cdf"], cftx.empirical_cdf(values)),
+        (["--format", "csv", "stats", "h-scan", "--N", "2000"], classgroup.h_scan(2000, 0.1)),
+    ]:
+        assert cli.main(argv) == 0, argv
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        data = [line for line in lines if not line.startswith("#")][1:]
+        assert data == [csv_line_by_cells(row) for row in rows], argv

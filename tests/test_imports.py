@@ -48,7 +48,7 @@ def loaded(names=("numpy", "mpmath")):
 
 import classforms.cli
 report = {"import": loaded(), "records": loaded(("dataclasses", "inspect")),
-          "unresolved": [], "commands": []}
+          "exact": loaded(("decimal", "fractions")), "unresolved": [], "commands": []}
 
 spec = importlib.util.spec_from_file_location("traced_child", sys.argv[1])
 harness = importlib.util.module_from_spec(spec)
@@ -95,6 +95,13 @@ def test_import_cli_loads_neither_dataclasses_nor_inspect(child_report):
     # the records are NamedTuples; importing dataclasses (and with it
     # inspect) cost about 20 ms in every process
     assert child_report["records"] == []
+
+
+def test_import_cli_loads_neither_fractions_nor_decimal(child_report):
+    # no envelope value is a Fraction by the time it is emitted, and the CSV
+    # rows are formatted by %-templates; the layers import fractions where
+    # they compute with it
+    assert child_report["exact"] == []
 
 
 def test_import_cli_binds_every_traced_layer_on_the_package(child_report):
@@ -177,6 +184,7 @@ def executed():
 import classforms.cli
 report = {"import": executed()}
 argv = json.loads(sys.argv[1])
+exec(sys.argv[2])  # replaces a layer function, where a test breaks one
 if argv:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         report["code"] = classforms.cli.main(argv)
@@ -185,9 +193,9 @@ print(json.dumps(report))
 """
 
 
-def _layer_report(argv):
+def _layer_report(argv, stub=""):
     out = subprocess.run(
-        [sys.executable, "-c", LAYERS_CHILD, json.dumps(argv)],
+        [sys.executable, "-c", LAYERS_CHILD, json.dumps(argv), stub],
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
@@ -204,3 +212,19 @@ def test_each_command_executes_only_its_own_layers(argv, layers):
     report = _layer_report(argv)
     assert report["code"] == 0
     assert report["command"] == layers
+
+
+def test_an_identity_failure_executes_only_its_own_layers():
+    # exit 1 is told from exit 3 by classforms.PrecisionError, which the
+    # package defines, so a failing command runs no layer to classify it
+    stub = "from classforms import classgroup\nclassgroup.compose = lambda f, g: f"
+    report = _layer_report(["classgroup", "-23"], stub)
+    assert report["code"] == 1
+    assert report["command"] == ["arith", "classgroup", "quadforms"]
+
+
+def test_precision_error_is_the_package_class():
+    import classforms
+    from classforms import rademacher
+
+    assert classforms.PrecisionError is rademacher.PrecisionError
