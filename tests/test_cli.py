@@ -230,6 +230,23 @@ def test_rademacher_sum_outputs_pinned(capsys, argv, sha256):
 
 
 @pytest.mark.parametrize("argv, sha256", [
+    (["rademacher", "rd", "--d", "5", "--n", "5", "--cmax", "400"],
+     "28550b525a969fdf8b30bbdcaaa636972095a84ee46d32fc9bf66abb217d61c1"),
+    (["rademacher", "rd", "--d", "40", "--n", "80", "--cmax", "200"],
+     "3635f65fa74ccb3eb787186b2707c8a97d9b4eddc68ad97159ad0c4b0fcde7f8"),
+    (["rademacher", "invdelta", "--n", "3000", "--cmax", "30"],
+     "adf2bd94ddfe1a23956f2aa4454fdf4ccbd153ef89bb73aaa4774ff8c56338b9"),
+    (["rademacher", "tau", "--n", "1000", "--cmax", "200"],
+     "603560089fbd55562ae82fa7f2ad846117f63761bbf38172406bda508ca9eb7f"),
+])
+def test_large_bessel_argument_outputs_pinned(capsys, argv, sha256):
+    # full stdout recorded while _bessel_fixed took Hankel's expansions for
+    # some moduli of each command (arguments from about 63 to 711)
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, sha256", [
     (["ecc", "verify", "--q", "199"],
      "6fe5934699935b68ac9325401221981bdfee4d445368c840e0741e195544afc8"),
     (["ecc", "torsion", "--q", "181", "--n", "5"],
