@@ -243,15 +243,15 @@ def h_scan(N: int, eps: float):
     """[(D, h(D), siegel_reference_curve(D, eps))] for fundamental -N <= D < 0, |D| rising.
 
     N and eps are both checked before the scan, so a bad eps is refused even
-    when the range holds no fundamental discriminant.
+    when the range holds no fundamental discriminant, and not again per row.
     """
     if N < 0:
         raise ValueError(f"N = {N} is negative: the scan needs N >= 0")
     _check_eps(eps)
     h = tables.class_number_table(N)
     fund = tables.fundamental_mask(N)
-    return [(-n, int(h[n]), siegel_reference_curve(-n, eps))
-            for n in range(3, N + 1) if fund[n]]
+    power = 0.5 - eps
+    return [(-n, int(h[n]), n ** power) for n in range(3, N + 1) if fund[n]]
 
 
 def cohen_lenstra_prediction(p: int) -> float:

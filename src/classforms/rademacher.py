@@ -15,8 +15,7 @@ integers at scale 2^-bits throughout, as Johansson computes these sums (LMS
 J. Comput. Math. 2012).  Each modulus builds its units, their inverses and
 one fixed-point cosine table, against which the Kloosterman sums are exact
 integer residue bins; each c evaluates one fixed-point Bessel value per
-distinct kind and |m| n (_bessel_fixed: the ascending series below a
-threshold set by the bits wanted, Hankel's expansions above it) and adds
+distinct kind and |m| n (_bessel_fixed, the ascending series) and adds
 the integer K B / c to each pair's accumulator.  pi and ln 2 come from
 integer series, every exponential, cosine and sine from one routine, _exp,
 through one of two range reductions (_cos_sin mod pi/2, _exp_ln2 by ln 2),
@@ -57,7 +56,7 @@ same name.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import ceil, exp, expm1, factorial, floor, isqrt, lgamma, log, log1p, log2, pi, sqrt
+from math import ceil, exp, expm1, factorial, floor, isqrt, log, log1p, log2, pi, sqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -170,31 +169,31 @@ def _exp(t: int, bits: int, imaginary: bool):
     return (c, si) if imaginary else c
 
 
-def _cos_sin(a: int, pi_a: int, extra: int, bits: int):
-    """(cos a, sin a) at scale 2^bits for an angle a at scale 2^(bits + extra),
-    extra >= 0, with pi_a pi at that scale within one unit.
+def _cos_sin(a: int, pi_a: int, bits: int):
+    """(cos a, sin a) at scale 2^bits for an angle a at that scale, with pi_a pi
+    at that scale within one unit.
 
     a = k pi/2 + s, |s| <= pi/4, and pi_a >> 1 is within one unit, so with a
     within E units, s is within E + |k|, and cos s and sin s (_exp) within
-    (E + |k|) 2^-extra + 1 units, one more when extra > 0 floors |s| 2^-extra.
+    E + |k| + 1 units.
     """
     quarter = pi_a >> 1
     k, s = divmod(a + (quarter >> 1), quarter)
     s -= quarter >> 1
-    cos_s, sin_s = _exp(abs(s) >> extra, bits, True)
+    cos_s, sin_s = _exp(abs(s), bits, True)
     if s < 0:
         sin_s = -sin_s
     return ((cos_s, sin_s), (-sin_s, cos_s), (-cos_s, -sin_s), (sin_s, -cos_s))[k & 3]
 
 
-def _exp_ln2(y: int, ln2_a: int, extra: int, bits: int):
-    """(m, n) with e^y = m 2^(n - bits), for y at scale 2^(bits + extra), extra >= 0,
-    with ln2_a ln 2 at that scale within one unit: y = n ln 2 + r, 0 <= r < ln 2,
-    and m = e^r (_exp).  With y within E units, r is within E + |n|, and m, as
-    e^r < 2, within 2 (E + |n|) 2^-extra + 1, two more when extra > 0 floors r.
+def _exp_ln2(y: int, ln2_a: int, bits: int):
+    """(m, n) with e^y = m 2^(n - bits), for y at scale 2^bits, with ln2_a ln 2
+    at that scale within one unit: y = n ln 2 + r, 0 <= r < ln 2, and
+    m = e^r (_exp).  With y within E units, r is within E + |n|, and m, as
+    e^r < 2, within 2 (E + |n|) + 1.
     """
     n, r = divmod(y, ln2_a)
-    return _exp(r >> extra, bits, False), n
+    return _exp(r, bits, False), n
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ def _modulus(c: int, precision_digits: int):
         # 2 pi/c <= pi at bits + 4 is off by under 3 units and in quadrant k <= 2,
         # so its cosine by under 6, and cos theta rounds to within 1/2 + 6/16 units
         pi_t = _pi(bits + 4)
-        cos_theta = _round_shift(_cos_sin(2 * pi_t // c, pi_t, 0, bits + 4)[0], 4)
+        cos_theta = _round_shift(_cos_sin(2 * pi_t // c, pi_t, bits + 4)[0], 4)
         cos_table.append(cos_theta)
         two_cos = 2 * cos_theta
         for k in range(1, c // 2):
@@ -293,53 +292,28 @@ def _log2_ceiling(kind: str, nu: int, x: float) -> int:
     return floor(bound + 0.01) + 1
 
 
-def _hankel_precision(kind: str, nu: int, x: float, top: int):
-    """The working precision w of Hankel's expansions for |B_nu(x)| 2^bits < 2^top,
-    or None where _bessel_fixed takes the ascending series instead.
-
-    w = top + g, with 2^g >= 32 (x + 1 + F)(2 nu + 4) for _bessel_hankel's
-    floors and remainder: F = 1 for J, and for I Olver's remainder factor
-    2 chi(K) e^(pi |nu^2 - 1/4|/x), chi(K) <= sqrt(pi (K + 2)/2) over
-    K <= x + 1 terms.  The expansions reach 2^-w within floor(x) terms where
-    x >= nu^2/2 and the bound below holds: every term ratio
-    |4 nu^2 - (2k - 1)^2|/(8 k x) is then at most 1, and at most k/(2x) <= 1/2
-    for nu < k <= x, so the term at k0 = floor(x) is at most
-    k0!/(nu! (2x)^(k0 - nu)), which must be below 2^-(w + 2).  That also puts
-    x above w ln 2 / 2, where the e^-2x companion of I's expansion is below 2^-w.
-    """
-    if x < max(nu * nu / 2, nu + 2):
-        return None
-    f = 1.0 if kind == "J" else 2 * sqrt(pi * (x + 3) / 2) * exp(pi * abs(nu * nu - 0.25) / x)
-    w = top + ceil(log2((x + 1 + f) * (2 * nu + 4))) + 5
-    k0 = floor(x)
-    if (lgamma(k0 + 1) - lgamma(nu + 1)) / _LN2 - (k0 - nu) * log2(2 * x) > -(w + 2):
-        return None
-    return w
-
-
 def _bessel_fixed(kind: str, nu: int, num: int, den: int, bits: int) -> int:
     """I_nu(x) (kind "I") or J_nu(x) (kind "J") times 2^bits, rounded to within
     one unit, at x = num/den > 0 exactly; bits may be negative.
 
-    With |B| 2^bits < 2^top (_log2_ceiling), top <= 0 returns 0.  Otherwise
-    _hankel_precision chooses between _bessel_series and _bessel_hankel,
-    whose docstrings state their error bounds.  Arguments past 1e5 raise
-    OverflowError.
+    With |B| 2^bits < 2^top (_log2_ceiling), top <= 0 returns 0; otherwise the
+    value is _bessel_series's, whose docstring states its error bound.  Its
+    x log2(e) guard bits and about 2 x terms make the cost grow like x^2:
+    at 30 digits a value takes under 2 ms up to x = 1000, up to 0.6 s at
+    x = 2e4 and 8-23 s at 1e5 (2-core Xeon VM, Python 3.11), so arguments past
+    2e4 raise OverflowError.  A sum whose result fits a double stays below the
+    cap: I's coefficients grow like e^x, and J reaches it only at tau(2.53e6).
     """
     if nu < 0:
         raise ValueError("order must be a nonnegative integer")
     if num <= 0 or den <= 0:
         raise ValueError("argument must be positive")
     x = num / den
-    if x > 1e5:
+    if x > 2e4:
         raise OverflowError("argument exceeds the configured evaluation range")
-    top = bits + _log2_ceiling(kind, nu, x)
-    if top <= 0:
+    if bits + _log2_ceiling(kind, nu, x) <= 0:
         return 0
-    w = _hankel_precision(kind, nu, x, top)
-    if w is None:
-        return _bessel_series(kind, nu, num, den, bits, x)
-    return _bessel_hankel(kind, nu, num, den, bits, w, x)
+    return _bessel_series(kind, nu, num, den, bits, x)
 
 
 def _bessel_series(kind: str, nu: int, num: int, den: int, bits: int, x: float) -> int:
@@ -367,52 +341,6 @@ def _bessel_series(kind: str, nu: int, num: int, den: int, bits: int, x: float) 
         total += -term if signed and k & 1 else term
         if not term and 2 * a <= step:
             return _round_shift(total, w - bits)
-
-
-def _bessel_hankel(kind: str, nu: int, num: int, den: int, bits: int, w: int, x: float) -> int:
-    """Hankel's expansions at x = num/den, times 2^bits within one unit, summed at
-    the working precision w of _hankel_precision.
-
-    The terms t_k = a_k(nu)/x^k, a_k = prod_(j<=k) (4 nu^2 - (2j - 1)^2)/(8^k k!),
-    are each one floor from the last, off by under nu + 2 units (_hankel_precision's
-    term ratios), and stop at the first k > nu with |t_k| <= nu + 2 units.
-      J_nu = sqrt(2/(pi x)) (P cos a - Q sin a), a = x - (2 nu + 1) pi/4, with
-      P = sum (-1)^j t_2j and Q = sum (-1)^j t_(2j+1): the remainders of P and
-      Q do not exceed their first neglected terms (DLMF 10.17(iii); at least
-      nu/2 terms of each are summed).
-      I_nu = e^x/sqrt(2 pi x) sum (-1)^k t_k: Olver's bound (DLMF 10.40(ii),
-      10.40(iii)) holds the remainder within 2 chi(k) e^(pi |nu^2 - 1/4|/x)
-      times the first neglected term, and the e^-x companion term is below
-      e^-2x relative; the sum is at least 1/4 for x >= nu^2/2.  e^x is
-      e^r 2^n from _exp_ln2.
-    x is floored at wr = w + bit_length(ceil(x)) + 4, where E + |n| and E + |k|
-    (_exp_ln2, _cos_sin), under 2x + 3 units, are below a quarter unit of 2^-w.
-    The guard bits of w hold the floors, the remainder and the factors' few
-    units each under half a unit of 2^-bits.
-    """
-    mu = 4 * nu * nu
-    t = 1 << w
-    sums = [t, 0, 0, 0]  # the terms with k = 0, 1, 2, 3 mod 4
-    k = 0
-    while True:
-        k += 1
-        t = t * (mu - (2 * k - 1) ** 2) * den // (8 * k * num)
-        sums[k & 3] += t
-        if k > nu and abs(t) <= nu + 2:
-            break
-    wr = w + ceil(x).bit_length() + 4
-    y = (num << wr) // den  # x at scale 2^wr, floored
-    if kind == "I":
-        e_r, n2 = _exp_ln2(y, _ln2(wr), wr - w, w)
-        h = (ceil(x).bit_length() + 5) // 2  # 2^h > sqrt(2 pi x): 1/sqrt(2 pi x) to w bits
-        root = isqrt((den << (3 * w + 2 * h)) // (2 * _pi(w) * num))
-        series = sums[0] - sums[1] + sums[2] - sums[3]
-        return _round_shift(e_r * root * series, 3 * w + h - n2 - bits)
-    pi_r = _pi(wr)
-    cos_a, sin_a = _cos_sin(y - ((2 * nu + 1) * pi_r >> 2), pi_r, wr - w, w)
-    amplitude = isqrt((2 * den << (3 * w)) // (_pi(w) * num))  # sqrt(2/(pi x)) 2^w
-    p_sum, q_sum = sums[0] - sums[2], sums[1] - sums[3]
-    return _round_shift(amplitude * (p_sum * cos_a - q_sum * sin_a), 3 * w - bits)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +609,9 @@ def _q_at(tau: CMPoint, bits: int) -> _Q:
     w = bits + g
     pi_w = _near(_pi, w)
     t = 2 * pi_w * isqrt((y2.numerator << 2 * w) // y2.denominator) >> w
-    e, n = _exp_ln2(-t, _near(_ln2, w), 0, w)
+    e, n = _exp_ln2(-t, _near(_ln2, w), w)
     turn = x - floor(x)
-    cos_t, sin_t = _cos_sin(2 * pi_w * turn.numerator // turn.denominator, pi_w, 0, w)
+    cos_t, sin_t = _cos_sin(2 * pi_w * turn.numerator // turn.denominator, pi_w, w)
     m = (_round_shift(e * cos_t, w + g), _round_shift(e * sin_t, w + g), 1)
     return _Q(m, -n, (_round_shift(t, g), 0, 1))
 

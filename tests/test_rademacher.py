@@ -175,37 +175,34 @@ def test_exp_within_one_unit(point, imaginary):
             assert _units_off(part, want, bits) <= 1, (bits, t)
 
 
-def _check_cos_sin(a, bits, extra, angle_error=0):
-    # (cos a, sin a) within (E + |k|) 2^-extra + 1 units, one more when extra > 0
-    pi_a = rd._pi(bits + extra)
+def _check_cos_sin(a, bits, angle_error=0):
+    # (cos a, sin a) within E + |k| + 1 units
+    pi_a = rd._pi(bits)
     k = _quadrant(a, pi_a)
-    bound = (angle_error + abs(k)) / 2**extra + 1 + (extra > 0)
-    got = rd._cos_sin(a, pi_a, extra, bits)
-    with mp.workprec(bits + extra + 64):
-        x = dyadic_mpf(a, bits + extra)
+    got = rd._cos_sin(a, pi_a, bits)
+    with mp.workprec(bits + 64):
+        x = dyadic_mpf(a, bits)
         for part, want in zip(got, (mp.cos(x), mp.sin(x))):
-            assert _units_off(part, want, bits) <= bound, (a, bits, extra)
+            assert _units_off(part, want, bits) <= angle_error + abs(k) + 1, (a, bits)
     return k
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(bits=st.integers(20, 20000), extra=st.sampled_from((0, 4, 24)),
-       k=st.integers(-8, 8), within=st.fractions(-0.5, 0.5))
-def test_cos_sin_within_its_stated_bound(bits, extra, k, within):
-    quarter = rd._pi(bits + extra) >> 1
+@given(bits=st.integers(20, 20000), k=st.integers(-8, 8), within=st.fractions(-0.5, 0.5))
+def test_cos_sin_within_its_stated_bound(bits, k, within):
+    quarter = rd._pi(bits) >> 1
     a = k * quarter + floor(within * quarter)
-    _check_cos_sin(a, bits, extra)
+    _check_cos_sin(a, bits)
 
 
 def test_cos_sin_at_the_quadrant_boundaries():
     # either side of s = +-pi/4 in every quadrant, where k changes; at
     # 20000 bits only at +-pi/4 themselves
     for bits in (20, 200, 2000, 20000):
-        for extra in (0, 4):
-            quarter = rd._pi(bits + extra) >> 1
-            for k in range(-4, 8) if bits < 20000 else (-1, 0):
-                edge = (k + 1) * quarter - (quarter >> 1)  # the least a in quadrant k + 1
-                assert {_check_cos_sin(a, bits, extra) for a in (edge - 1, edge)} == {k, k + 1}
+        quarter = rd._pi(bits) >> 1
+        for k in range(-4, 8) if bits < 20000 else (-1, 0):
+            edge = (k + 1) * quarter - (quarter >> 1)  # the least a in quadrant k + 1
+            assert {_check_cos_sin(a, bits) for a in (edge - 1, edge)} == {k, k + 1}
 
 
 def test_cos_sin_of_a_turn_over_c():
@@ -215,7 +212,7 @@ def test_cos_sin_of_a_turn_over_c():
         pi_t = rd._pi(bits)
         for c in range(1, 401):
             if bits < 20000 or c % 37 == 1:
-                _check_cos_sin(2 * pi_t // c, bits, 0, angle_error=3)
+                _check_cos_sin(2 * pi_t // c, bits, angle_error=3)
     for digits in (15, 30):
         for c in range(2, 401):
             modulus = rd._modulus(c, digits)
@@ -225,19 +222,17 @@ def test_cos_sin_of_a_turn_over_c():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(bits=st.integers(20, 20000), extra=st.sampled_from((0, 4, 24)),
-       y=st.fractions(-50, 50))
-@example(bits=20, extra=0, y=Fraction(0))
-@example(bits=20000, extra=4, y=Fraction(-1))
-def test_exp_ln2_within_its_stated_bound(bits, extra, y):
-    # y = n ln 2 + r, and e^r within 2 |n| 2^-extra + 1 units, two more when extra > 0
-    scaled = floor(y * 2 ** (bits + extra))
-    m, n = rd._exp_ln2(scaled, rd._ln2(bits + extra), extra, bits)
-    bound = 2 * abs(n) / 2**extra + 1 + 2 * (extra > 0)
-    with mp.workprec(bits + extra + 64):
-        want = mp.exp(dyadic_mpf(scaled, bits + extra) - n * mp.ln2)
+@given(bits=st.integers(20, 20000), y=st.fractions(-50, 50))
+@example(bits=20, y=Fraction(0))
+@example(bits=20000, y=Fraction(-1))
+def test_exp_ln2_within_its_stated_bound(bits, y):
+    # y = n ln 2 + r, and e^r within 2 |n| + 1 units
+    scaled = floor(y * 2**bits)
+    m, n = rd._exp_ln2(scaled, rd._ln2(bits), bits)
+    with mp.workprec(bits + 64):
+        want = mp.exp(dyadic_mpf(scaled, bits) - n * mp.ln2)
         assert 1 - 2**-8 < want < 2 + 2**-8
-        assert _units_off(m, want, bits) <= bound, (bits, extra, y)
+        assert _units_off(m, want, bits) <= 2 * abs(n) + 1, (bits, y)
 
 
 # --- Bessel kernels -----------------------------------------------------------
@@ -276,30 +271,35 @@ def test_bessel_matches_ascending_series_oracle():
 
 
 def test_bessel_I_matches_besseli_to_working_precision():
-    # the fixed-point I at 30 digits against mpmath's besseli at 60, in both
-    # regimes: I grows like e^x, so x is taken exactly (at x = 12345.6 a
+    # the fixed-point I at 30 digits against mpmath's besseli at 60, up to the
+    # 2e4 cap: I grows like e^x, so x is taken exactly (at x = 12345.6 a
     # rounded x^2/4 alone would cost 1e-28)
     for nu in (0, 1, 2, 13):
-        for x in (0.1, 1.0, 22.0, 62.8, 795.3, 12345.6, 99999.0):
+        for x in (0.1, 1.0, 22.0, 62.8, 795.3, 12345.6, 20000.0):
             got = _bessel_mpf("I", nu, x, 30)
             with mp.workdps(60):
                 want = mp.besseli(nu, x)
                 assert abs(got - want) <= mp.mpf(10) ** -30 * want, (nu, x)
+        with pytest.raises(OverflowError):
+            _bessel_mpf("I", nu, 20000.000001, 30)
 
 
 def test_bessel_recurrences_at_large_arguments():
-    # up to the 1e5 cap, where the ascending series would take hours
+    # at the 2e4 cap; past it the ascending series takes seconds per value
     digits = 30
     with mp.workdps(digits):
         tol = mp.mpf(10) ** (2 - digits)
-        for x in (mp.mpf(20000), mp.mpf(99999)):
-            j10, j11, j12 = (_bessel_mpf("J", nu, x, digits) for nu in (10, 11, 12))
-            assert abs(j10 + j12 - 22 / x * j11) <= tol * (abs(j10) + abs(j12))
-            # leading asymptotics: J_11^2 + J_12^2 ~ 2 / (pi x), I_0 ~ e^x (1 + 1/8x) / sqrt(2 pi x)
-            assert abs((j11**2 + j12**2) * mp.pi * x / 2 - 1) < 1e-3
-            i0, i1, i2 = (_bessel_mpf("I", nu, x, digits) for nu in (0, 1, 2))
-            assert abs(i0 - i2 - 2 / x * i1) <= tol * (i0 + i2)
-            assert abs(i0 * mp.sqrt(2 * mp.pi * x) / mp.exp(x) / (1 + 1 / (8 * x)) - 1) < 1e-9
+        x = mp.mpf(20000)
+        j10, j11, j12 = (_bessel_mpf("J", nu, x, digits) for nu in (10, 11, 12))
+        assert abs(j10 + j12 - 22 / x * j11) <= tol * (abs(j10) + abs(j12))
+        # leading asymptotics: J_11^2 + J_12^2 ~ 2 / (pi x), I_0 ~ e^x (1 + 1/8x) / sqrt(2 pi x)
+        assert abs((j11**2 + j12**2) * mp.pi * x / 2 - 1) < 1e-3
+        i0, i1, i2 = (_bessel_mpf("I", nu, x, digits) for nu in (0, 1, 2))
+        assert abs(i0 - i2 - 2 / x * i1) <= tol * (i0 + i2)
+        assert abs(i0 * mp.sqrt(2 * mp.pi * x) / mp.exp(x) / (1 + 1 / (8 * x)) - 1) < 1e-9
+        for kind, nu in (("J", 11), ("I", 0)):
+            with pytest.raises(OverflowError):
+                _bessel_mpf(kind, nu, x + mp.mpf(2) ** -20, digits)
 
 
 def test_bessel_I_positive_and_increasing():
@@ -322,44 +322,25 @@ def test_bessel_rejects_bad_arguments():
         rd._bessel_fixed("I", -1, 1, 1, 100)
     with pytest.raises(OverflowError):
         rd._bessel_fixed("I", 1, 10**7, 1, 100)
+    with pytest.raises(OverflowError, match="configured evaluation range"):
+        rd._bessel_fixed("J", 11, 20000 * 2**20 + 1, 2**20, 100)
 
 
-def _regime_switch(kind, nu, top):
-    # the x, 1e-9 apart, just below and just above which _bessel_fixed takes
-    # Hankel's expansions instead of the ascending series
-    lo, hi = 1.0, 1000.0
-    assert rd._hankel_precision(kind, nu, lo, top) is None
-    assert rd._hankel_precision(kind, nu, hi, top) is not None
-    while hi - lo > 1e-9 * hi:
-        mid = (lo + hi) / 2
-        if rd._hankel_precision(kind, nu, mid, top) is None:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def test_bessel_either_side_of_the_regime_threshold(monkeypatch):
-    # I_1, I_13 and J_11 just below and just above the switch from the
-    # ascending series to Hankel's expansions, against mpmath at 20 more digits
-    routes = []
-    for name in ("_bessel_series", "_bessel_hankel"):
-        kernel = getattr(rd, name)
-        monkeypatch.setattr(rd, name, lambda *a, kernel=kernel, name=name:
-                            routes.append(name) or kernel(*a))
+def test_bessel_within_one_unit_across_its_range():
+    # I_0, I_1, I_13 and J_11 from x = 20 to the 2e4 cap, where the series
+    # once gave way to other expansions (about 20-200) and far beyond, against
+    # mpmath at 20 more digits; J needs the x log2(e) guard bits there
     oracles = {"I": mp.besseli, "J": mp.besselj}
-    for kind, nu in (("I", 1), ("I", 13), ("J", 11)):
+    xs = (20.5, 31.25, 62.8, 97.4, 150.0, 199.9, 688.1, 1777.3, 5000.0, 20000.0)
+    for kind, nu in (("I", 0), ("I", 1), ("I", 13), ("J", 11)):
         for digits in (30, 40):
-            lo, hi = _regime_switch(kind, nu, _bessel_bits(kind, nu, 1.0, digits)[1])
-            assert max(nu * nu / 2, 20.0) <= hi < 200, (kind, nu, digits, hi)
-            for x, route in ((lo, "_bessel_series"), (hi, "_bessel_hankel")):
-                routes.clear()
-                got = _bessel_mpf(kind, nu, x, digits)
-                assert routes == [route], (kind, nu, digits, x)
+            for x in xs:
+                num, den = x.as_integer_ratio()
+                bits = _bessel_bits(kind, nu, x, digits)[0]
+                got = rd._bessel_fixed(kind, nu, num, den, bits)
                 with mp.workdps(digits + 20):
-                    want = oracles[kind](nu, x)
-                    scale = abs(want) if kind == "I" else 1
-                    assert abs(got - want) <= mp.mpf(10) ** -digits * scale, (kind, nu, x)
+                    want = oracles[kind](nu, mp.mpf(x))
+                    assert _units_off(got, want, bits) <= 1, (kind, nu, digits, x)
 
 
 # --- Rademacher sums ----------------------------------------------------------
