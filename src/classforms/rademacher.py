@@ -301,8 +301,8 @@ def _bessel_fixed(kind: str, nu: int, num: int, den: int, bits: int) -> int:
     x log2(e) guard bits and about 2 x terms make the cost grow like x^2:
     at 30 digits a value takes under 2 ms up to x = 1000, up to 0.6 s at
     x = 2e4 and 8-23 s at 1e5 (2-core Xeon VM, Python 3.11), so arguments past
-    2e4 raise OverflowError.  A sum whose result fits a double stays below the
-    cap: I's coefficients grow like e^x, and J reaches it only at tau(2.53e6).
+    2e4 raise OverflowError.  An I sum reaches the cap only far past the double
+    range (its coefficients grow like e^x), a J sum only at tau(n), n > 2.53e6.
     """
     if nu < 0:
         raise ValueError("order must be a nonnegative integer")

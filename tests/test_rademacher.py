@@ -327,9 +327,9 @@ def test_bessel_rejects_bad_arguments():
 
 
 def test_bessel_within_one_unit_across_its_range():
-    # I_0, I_1, I_13 and J_11 from x = 20 to the 2e4 cap, where the series
-    # once gave way to other expansions (about 20-200) and far beyond, against
-    # mpmath at 20 more digits; J needs the x log2(e) guard bits there
+    # I_0, I_1, I_13 and J_11 from x = 20 to the 2e4 cap against mpmath at 20
+    # more digits, densest at 20-200; J's cancellation needs the x log2(e)
+    # guard bits of _bessel_series
     oracles = {"I": mp.besseli, "J": mp.besselj}
     xs = (20.5, 31.25, 62.8, 97.4, 150.0, 199.9, 688.1, 1777.3, 5000.0, 20000.0)
     for kind, nu in (("I", 0), ("I", 1), ("I", 13), ("J", 11)):
